@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="bounded brute-force free-distance estimate")
     p.add_argument("-i", "--input", required=True, help="code JSON file")
     p.add_argument("--cap", type=int, help="message total-degree cap (default depends on k)")
-    p.add_argument("--stop-below", type=int)
+    p.add_argument("--stop-below", type=int, help="stop at the first codeword lighter than this")
     p.add_argument("--workers", type=int, default=None)
 
     sub.add_parser("selftest", help="run the lemma and identity property suites")

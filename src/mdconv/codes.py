@@ -220,15 +220,14 @@ def phi_lift(
 # Certification
 # ---------------------------------------------------------------------------
 
-def _superregularity_hypothesis(G: PolyMatrix) -> tuple[Hypothesis, Optional[FlattenedMatrix]]:
-    flat = phi_flatten(G)
-    report = is_superregular(flat.matrix)
+def _superregularity_hypothesis(G: PolyMatrix) -> Hypothesis:
+    report = is_superregular(phi_flatten(G).matrix)
     if report.verdict:
         detail = f"all {report.minors_checked} minors nonzero"
     else:
         rsub, csub, _ = report.failing_minor
         detail = f"zero minor at rows {list(rsub)}, cols {list(csub)}"
-    return Hypothesis("flatten_superregular", report.verdict, detail), flat
+    return Hypothesis("flatten_superregular", report.verdict, detail)
 
 
 def certify(code: CodeDescriptor) -> MdsCertificate:
@@ -260,8 +259,7 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
             ),
         ]
         if hyps[1].passed:
-            sr, _ = _superregularity_hypothesis(code.generator)
-            hyps.append(sr)
+            hyps.append(_superregularity_hypothesis(code.generator))
         distance = n * support_count(delta, m)
         theorem = RATE_1N
     elif degrees == [degrees[0]] * (k - 1) + [degrees[0] - 1]:
@@ -279,8 +277,7 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
             ),
         ]
         if hyps[1].passed:
-            sr, _ = _superregularity_hypothesis(code.generator)
-            hyps.append(sr)
+            hyps.append(_superregularity_hypothesis(code.generator))
         distance = singleton_bound(m, k, n, k * nu + k - 1)
         theorem = STAIRCASE_KN
     elif all(a >= b for a, b in zip(degrees, degrees[1:])) and degrees[-2] > degrees[-1]:
@@ -299,12 +296,11 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
             ),
         ]
         if hyps[1].passed:
-            sr, _ = _superregularity_hypothesis(code.generator)
-            hyps.append(sr)
+            hyps.append(_superregularity_hypothesis(code.generator))
         distance = staircase_distance_bound(m, n, nu_last)
         theorem = MD_STAIRCASE_BOUND
     else:
-        sr, _ = _superregularity_hypothesis(code.generator)
+        sr = _superregularity_hypothesis(code.generator)
         return MdsCertificate(
             MD_STAIRCASE_BOUND,
             (

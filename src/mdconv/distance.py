@@ -10,18 +10,30 @@ Messages are enumerated by strata: the stratum of a coefficient vector is
 the flat index of its first nonzero coefficient (component-major, terms in
 canonical order).  Strata are scanned in ascending order; within a
 stratum, tail coefficients count up in base q.  This order is what makes
-reports deterministic and independent of the worker count.
+reports deterministic and independent of the worker count and batch size.
+
+Codewords are computed in batches by one numpy matrix product over the
+prime subfield GF(p), for every field GF(p^e).  Each message coefficient
+is expanded to its e base-p digits (its power-basis coordinates, see
+`galois`), each generator coefficient g to the e x e GF(p) matrix of
+x -> g*x, and a codeword coefficient is nonzero iff one of its e digits
+is.  Prime fields are the case e = 1.  numpy is imported on first use, so
+`import mdconv` does not pay for it.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
+
+#: Most int64 codeword digits (rows x n*T*e) one batch holds; the rows of a
+#: batch are capped by it and by `batch_size`, which bounds the working set
+#: whatever the code's length.
+_BATCH_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,13 +77,13 @@ class _StratumResult:
 
 
 class _Enumerator:
-    """Shared geometry for the message enumeration of one (G, cap) pair."""
+    """Shared geometry and encode map for the enumeration of one (G, cap) pair."""
 
     def __init__(self, G: PolyMatrix, cap: int):
-        self.G = G
-        self.F = G.field
+        import numpy as np
+
+        self.F = F = G.field
         self.k, self.n, self.m = G.rows, G.cols, G.m
-        self.cap = cap
         self.monomials = monomials_upto(cap, self.m)
         self.s = len(self.monomials)
         self.dim = self.k * self.s
@@ -86,19 +98,32 @@ class _Enumerator:
         self.out_monomials = sorted(out, key=term_key)
         self.T = len(self.out_monomials)
         out_idx = {g: t for t, g in enumerate(self.out_monomials)}
-        # Linear encode map: coefficient vector (k*s) -> codeword coefficients
-        # (n*T), over GF(p).  Prime fields only; extension fields take the
-        # scalar path.
-        self.prime = self.F.e == 1
-        if self.prime:
-            M = np.zeros((self.dim, self.n * self.T), dtype=np.int64)
-            for j in range(self.k):
-                for a, alpha in enumerate(self.monomials):
-                    for i in range(self.n):
-                        for beta, cf in G.entries[j][i].terms.items():
-                            g = tuple(x + y for x, y in zip(alpha, beta))
-                            M[j * self.s + a, i * self.T + out_idx[g]] += cf
-            self.M = M % self.F.p
+
+        p, e = F.p, F.e
+        # A codeword digit sums dim*e products of two digits below p.
+        if self.dim * e * (p - 1) ** 2 >= 1 << 63:
+            raise ValueError(
+                f"distance search over {F!r} with {self.dim} message coefficients "
+                "would overflow int64 arithmetic"
+            )
+        self.powers = p ** np.arange(e, dtype=np.int64)
+
+        def mul_block(g: int) -> list[list[int]]:
+            # Row i: the digits of g * x^i, the image of the i-th basis element.
+            return [[F.mul(g, p**i) // p**j % p for j in range(e)] for i in range(e)]
+
+        # Linear encode map over GF(p): the e message digits of coefficient
+        # (j, alpha) -> the e codeword digits of coefficient (i, alpha + beta).
+        M = np.zeros((self.dim * e, self.n * self.T * e), dtype=np.int64)
+        for j, row in enumerate(G.entries):
+            for i, poly in enumerate(row):
+                for beta, cf in poly.terms.items():
+                    block = mul_block(cf)
+                    for a, alpha in enumerate(self.monomials):
+                        r = (j * self.s + a) * e
+                        c = (i * self.T + out_idx[tuple(x + y for x, y in zip(alpha, beta))]) * e
+                        M[r:r + e, c:c + e] = block
+        self.M = M
         # Flat coefficient positions whose monomial has exponent 0 in each
         # variable, for the monomial-shift normalization.
         self.zero_exp_positions = [
@@ -121,7 +146,16 @@ class _Enumerator:
             polys.append(Polynomial(self.F, self.m, terms))
         return PolyMatrix(self.F, self.m, [polys])
 
-    # -- one stratum ------------------------------------------------------
+    def weights(self, C):
+        """Codeword weight of each row of the q-ary coefficient matrix C."""
+        import numpy as np
+
+        p, e = self.F.p, self.F.e
+        digits = C[:, :, None] // self.powers
+        digits %= p
+        W = digits.reshape(len(C), self.dim * e) @ self.M
+        W %= p
+        return np.count_nonzero(W.reshape(len(C), self.n * self.T, e).any(axis=2), axis=1)
 
     def scan_stratum(
         self,
@@ -130,77 +164,51 @@ class _Enumerator:
         stop_below: Optional[int],
         batch_size: int,
     ) -> _StratumResult:
-        if self.prime:
-            return self._scan_stratum_numpy(p0, normalize, stop_below, batch_size)
-        return self._scan_stratum_scalar(p0, normalize, stop_below)
+        """Scan the messages whose first nonzero coefficient is at `p0`.
 
-    def _shift_keep_mask(self, C: np.ndarray) -> np.ndarray:
-        keep = np.ones(len(C), dtype=bool)
-        for pos in self.zero_exp_positions:
-            keep &= (C[:, pos] != 0).any(axis=1)
-        return keep
+        With `stop_below`, the scan ends at the first message (in
+        enumeration order) whose weight is below it; that message is the
+        witness and the last one counted in `tried`.
+        """
+        import numpy as np
 
-    def _scan_stratum_numpy(self, p0, normalize, stop_below, batch_size):
         q = self.F.q
-        tail = self.dim - 1 - p0
-        leads = [1] if normalize else list(range(1, q))
+        rows = max(1, min(batch_size, _BATCH_ELEMENTS // max(1, self.n * self.T * self.F.e)))
+        total = q ** (self.dim - 1 - p0)
+        leads = [1] if normalize else range(1, q)
         best: Optional[int] = None
         witness = None
         tried = 0
         for lead in leads:
-            total = q**tail
-            for start in range(0, total, batch_size):
-                end = min(start + batch_size, total)
-                idx = np.arange(start, end, dtype=np.int64)
-                C = np.zeros((end - start, self.dim), dtype=np.int64)
+            for start in range(0, total, rows):
+                rem = np.arange(start, min(start + rows, total), dtype=np.int64)
+                C = np.zeros((len(rem), self.dim), dtype=np.int64)
                 C[:, p0] = lead
-                rem = idx
-                for d in range(tail - 1, -1, -1):
-                    C[:, p0 + 1 + d] = rem % q
-                    rem = rem // q
-                if normalize and self.m > 0:
-                    C = C[self._shift_keep_mask(C)]
+                for d in range(self.dim - 1, p0, -1):
+                    C[:, d] = rem % q
+                    rem //= q
+                if normalize:
+                    keep = np.ones(len(C), dtype=bool)
+                    for pos in self.zero_exp_positions:
+                        keep &= C[:, pos].any(axis=1)
+                    C = C[keep]
                 if not len(C):
                     continue
+                w = self.weights(C)
+                if stop_below is not None:
+                    hits = np.flatnonzero(w < stop_below)
+                    if len(hits):
+                        # Every earlier message weighed at least stop_below.
+                        f = int(hits[0])
+                        return _StratumResult(
+                            int(w[f]), tuple(int(x) for x in C[f]), tried + f + 1, True
+                        )
                 tried += len(C)
-                W = (C @ self.M) % self.F.p
-                w = np.count_nonzero(W, axis=1)
                 i = int(np.argmin(w))
                 if best is None or int(w[i]) < best:
                     best = int(w[i])
                     witness = tuple(int(x) for x in C[i])
-                if stop_below is not None and best < stop_below:
-                    return _StratumResult(best, witness, tried, True)
         return _StratumResult(best, witness, tried, False)
-
-    def _scan_stratum_scalar(self, p0, normalize, stop_below):
-        from itertools import product
-
-        q = self.F.q
-        tail = self.dim - 1 - p0
-        leads = [1] if normalize else list(range(1, q))
-        best: Optional[int] = None
-        witness = None
-        tried = 0
-        for lead in leads:
-            for digits in product(range(q), repeat=tail):
-                c = (0,) * p0 + (lead,) + digits
-                if normalize and not self._shift_normalized(c):
-                    continue
-                tried += 1
-                u = self.message_from_vector(c)
-                w = (u @ self.G).weight()
-                if best is None or w < best:
-                    best, witness = w, c
-                if stop_below is not None and best < stop_below:
-                    return _StratumResult(best, witness, tried, True)
-        return _StratumResult(best, witness, tried, False)
-
-    def _shift_normalized(self, c) -> bool:
-        for pos in self.zero_exp_positions:
-            if not any(c[p] for p in pos):
-                return False
-        return True
 
 
 def free_distance_estimate(
@@ -214,18 +222,33 @@ def free_distance_estimate(
     """Minimum codeword weight over all nonzero messages of total degree
     <= cap, modulo scaling and monomial-shift symmetries.
 
-    With `stop_below`, scanning stops at the first codeword of weight below
-    it and the report's `below_bound` flag is set.  Results are identical
-    for any `workers` count: strata are reduced in ascending order and the
-    witness is the first message (in enumeration order) attaining the
-    minimum.
+    With `stop_below`, the search stops at the first codeword (in
+    enumeration order) of weight below it: that codeword is the witness,
+    `messages_tried` counts up to it, and the report's `below_bound` flag is
+    set.  Results are identical for any `workers` count and `batch_size`
+    (an upper limit on the messages encoded at once): strata are reduced in
+    ascending order and the witness is the first message (in enumeration
+    order) attaining the minimum.
+
+    Raises ValueError when the field is too large for exact int64
+    arithmetic (dim * e * (p - 1)^2 >= 2^63, dim = k * C(cap + m, m)).
     """
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
     enum = _Enumerator(G, cap)
+    # Lowest stratum that has stopped so far; strata above it are skipped,
+    # since the reduction below never reads past it.
+    lowest_stop = [enum.dim]
+    lock = threading.Lock()
 
-    def job(p0: int) -> _StratumResult:
-        return enum.scan_stratum(p0, normalize, stop_below, batch_size)
+    def job(p0: int) -> Optional[_StratumResult]:
+        if p0 > lowest_stop[0]:
+            return None
+        res = enum.scan_stratum(p0, normalize, stop_below, batch_size)
+        if res.stopped:
+            with lock:
+                lowest_stop[0] = min(lowest_stop[0], p0)
+        return res
 
     strata = range(enum.dim)
     if workers > 1:

@@ -80,22 +80,13 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     if deg <= 3:
         # A polynomial of degree 2 or 3 is irreducible iff it has no root.
         return all(_poly_eval_mod_p(coeffs, x, p) != 0 for x in range(p))
-    # Trial division by every lower-degree monic irreducible.
+    # Reducible iff a monic factor of degree <= deg / 2 divides it.  x is not
+    # tried: the candidates of `_canonical_irreducible` have a nonzero constant.
     for d in range(1, deg // 2 + 1):
-        for cand in _all_monic(p, d):
-            if _is_irreducible(cand, p) and not _poly_mod(list(coeffs), list(cand), p):
+        for cand in _monic_polys(p, d):
+            if not _poly_mod(list(coeffs), list(cand), p):
                 return False
     return True
-
-
-def _all_monic(p: int, deg: int) -> Iterator[tuple[int, ...]]:
-    for code in range(p**deg):
-        digits = []
-        c = code
-        for _ in range(deg):
-            digits.append(c % p)
-            c //= p
-        yield tuple(digits) + (1,)
 
 
 def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:

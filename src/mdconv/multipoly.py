@@ -185,22 +185,6 @@ class Polynomial:
         return Polynomial(field, m, {tuple(a): int(c) for a, c in obj})
 
 
-def poly_add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def poly_mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def poly_scale(f: Polynomial, c: int) -> Polynomial:
-    return f.scale(c)
-
-
-def total_degree(f: Polynomial):
-    return f.total_degree()
-
-
 class PolyMatrix:
     """Immutable k x n matrix of polynomials sharing one field and m."""
 
@@ -225,10 +209,6 @@ class PolyMatrix:
 
     def __setattr__(self, *args):
         raise AttributeError("PolyMatrix is immutable")
-
-    @staticmethod
-    def from_rows(field: FiniteField, m: int, rows: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
-        return PolyMatrix(field, m, rows)
 
     @staticmethod
     def identity(field: FiniteField, m: int, k: int) -> "PolyMatrix":

@@ -106,6 +106,20 @@ def test_distance_exit_codes(tmp_path):
     assert json.loads(bad.stdout)["below_bound"]
 
 
+def test_distance_int64_overflow_exit_2(tmp_path):
+    from mdconv.codes import CodeDescriptor
+    from mdconv.galois import make_field
+    from mdconv.multipoly import Polynomial, PolyMatrix
+
+    F = make_field(2**32 - 5)
+    G = PolyMatrix(F, 1, [[Polynomial(F, 1, {(0,): 1, (1,): 2})]])
+    out = tmp_path / "code.json"
+    out.write_text(json.dumps(CodeDescriptor.from_generator(G).to_json()))
+    res = run_cli("distance", "-i", str(out), "--cap", "0")
+    assert res.returncode == 2
+    assert "int64" in res.stderr and res.stdout == ""
+
+
 def test_missing_input_exit_2():
     res = run_cli("certify", "-i", "/nonexistent/code.json")
     assert res.returncode == 2

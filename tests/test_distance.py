@@ -1,13 +1,17 @@
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdconv.galois import make_field
 from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
 from mdconv.codes import construct_mds_rate_1n
 from mdconv.superreg import ConstMatrix
 from mdconv.distance import (
+    _Enumerator,
     codeword_weight_profile,
     default_cap,
     encode,
@@ -179,6 +183,125 @@ def test_extension_field_scalar_path():
     rep = free_distance_estimate(G, 1)
     oracle_min, _ = _brute_force_min_weight(G, 1)
     assert rep.min_weight_found == oracle_min
+
+
+def _random_generator(rng, F, m, k, n):
+    exps = monomials_upto(1, m)
+    while True:
+        rows = [[Polynomial(F, m, {a: rng.randrange(F.q) for a in exps}) for _ in range(n)]
+                for _ in range(k)]
+        if all(any(not p.is_zero() for p in row) for row in rows):
+            return PolyMatrix(F, m, rows)
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_extension_field_kernel_matches_brute_force(p, e, m):
+    F = make_field(p, e)
+    rng = random.Random(100 * F.q + m)
+    for k, cap in [(2, 0), (1, 1), (1, 2)]:
+        if F.q ** (k * len(monomials_upto(cap, m))) > 1000:
+            continue
+        G = _random_generator(rng, F, m, k, rng.randrange(1, 4))
+        oracle_min, oracle_count = _brute_force_min_weight(G, cap)
+        for normalize in (True, False):
+            rep = free_distance_estimate(G, cap, normalize=normalize)
+            assert rep.min_weight_found == oracle_min
+            assert (rep.witness_message @ G).weight() == oracle_min
+            if normalize:
+                assert rep.messages_tried <= oracle_count
+            else:
+                assert rep.messages_tried == oracle_count
+
+
+def test_stop_below_reports_first_message_below_for_any_batch_size():
+    code, _ = construct_mds_rate_1n(F7, 1, 3, 2)
+    for batch_size in (1, 7, 1 << 16):
+        rep = free_distance_estimate(code.generator, 3, stop_below=100, batch_size=batch_size)
+        assert rep.below_bound
+        assert rep.messages_tried == 1
+        assert rep.witness_message.entries[0][0] == Polynomial.constant(F7, 1, 1)
+        assert rep.min_weight_found == code.generator.weight()
+
+
+def test_stop_below_ends_the_search(monkeypatch):
+    # Without normalization the first message of every stratum is a single
+    # monomial, of weight 9 < 10, so every stratum that runs stops at once.
+    code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
+    calls = []
+    scan = _Enumerator.scan_stratum
+
+    def counting(self, p0, *args):
+        calls.append(p0)
+        return scan(self, p0, *args)
+
+    monkeypatch.setattr(_Enumerator, "scan_stratum", counting)
+    reports = []
+    for workers in (1, 2):
+        calls.clear()
+        reports.append(free_distance_estimate(
+            code.generator, 2, stop_below=10, workers=workers, normalize=False))
+        if workers == 1:
+            assert calls == [0]
+        else:
+            # A stratum is taken only after stratum 0 or 1 has stopped.
+            assert 0 in calls and set(calls) <= {0, 1}
+    assert reports[0] == reports[1]
+    assert reports[0].messages_tried == 1 and reports[0].below_bound
+
+
+def test_int64_exactness_guard():
+    F = make_field(2**32 - 5)
+    G = PolyMatrix(F, 1, [[Polynomial(F, 1, {(0,): 1, (1,): F.q - 1})]])
+    with pytest.raises(ValueError, match="int64"):
+        free_distance_estimate(G, 0)
+    # GF(2^31 - 1): one or two message coefficients stay below 2^63, three do not.
+    F = make_field(2**31 - 1)
+    G = PolyMatrix(F, 1, [[Polynomial(F, 1, {(0,): F.q - 1, (1,): F.q - 1})]])
+    assert free_distance_estimate(G, 0).min_weight_found == 2
+    with pytest.raises(ValueError, match="int64"):
+        free_distance_estimate(G, 2)
+
+
+FIELDS = [make_field(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]]
+
+
+@st.composite
+def small_codes(draw):
+    F = draw(st.sampled_from(FIELDS))
+    m, k, cap = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    while F.q ** (k * len(monomials_upto(cap, m))) > 1000:
+        cap, k = (cap - 1, k) if cap else (cap, k - 1)
+    n = draw(st.integers(1, 3))
+    coeff = st.integers(0, F.q - 1)
+    exps = monomials_upto(1, m)
+    rows = [[Polynomial(F, m, {a: draw(coeff) for a in exps}) for _ in range(n)]
+            for _ in range(k)]
+    return PolyMatrix(F, m, rows), cap
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_codes(), st.one_of(st.none(), st.integers(1, 10)), st.booleans())
+def test_report_independent_of_workers_and_batch_size(code, stop_below, normalize):
+    G, cap = code
+    reports = [
+        free_distance_estimate(G, cap, stop_below=stop_below, workers=workers,
+                               normalize=normalize, batch_size=batch_size)
+        for workers in (1, 2) for batch_size in (1, 7, 1 << 16)
+    ]
+    assert all(r == reports[0] for r in reports)
+    rep = reports[0]
+    assert (rep.witness_message @ G).weight() == rep.min_weight_found
+    if stop_below is not None:
+        assert rep.below_bound == (rep.min_weight_found < stop_below)
+
+
+def test_import_does_not_load_numpy():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mdconv; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_worker_count_does_not_change_report():
