@@ -1,13 +1,15 @@
 """Constant-matrix linear algebra over GF(q).
 
 Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
-generation, seeded random search, Gaussian elimination, rank, nullspace.
+generation and seeded random search.  One Gaussian elimination routine,
+`_echelon`, serves the determinant, rank, nullspace and the minor scan.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -73,30 +75,42 @@ class SuperregularityReport:
         return out
 
 
+def _echelon(F: FiniteField, M: list[list[int]]) -> list[int]:
+    """Bring M to row echelon form in place; return the pivot column of each row.
+
+    Only row operations that keep the determinant are used: adding a multiple
+    of the pivot row to a row below it, and swapping two rows while negating one.
+    """
+    add, mul, neg = F.add, F.mul, F.neg
+    pivots: list[int] = []
+    for col in range(len(M[0])):
+        row = len(pivots)
+        pr = next((r for r in range(row, len(M)) if M[r][col]), None)
+        if pr is None:
+            continue
+        if pr != row:
+            M[row], M[pr] = M[pr], M[row]
+            M[pr][col:] = [neg(x) for x in M[pr][col:]]
+        P, pinv = M[row], F.inv(M[row][col])
+        for R in M[row + 1:]:
+            if R[col]:
+                f = neg(mul(R[col], pinv))
+                R[col] = 0
+                for c in range(col + 1, len(P)):
+                    R[c] = add(R[c], mul(f, P[c]))
+        pivots.append(col)
+    return pivots
+
+
 def det(A: ConstMatrix) -> int:
-    """Determinant over GF(q) by Gaussian elimination."""
+    """Determinant over GF(q): the product of the echelon form's diagonal,
+    or 0 when a column has no pivot."""
     if A.rows != A.cols:
         raise ValueError("determinant requires a square matrix")
-    F = A.field
     M = [list(row) for row in A.entries]
-    n = A.rows
-    acc = 1
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            M[col], M[pivot] = M[pivot], M[col]
-            acc = F.neg(acc)
-        acc = F.mul(acc, M[col][col])
-        pinv = F.inv(M[col][col])
-        for r in range(col + 1, n):
-            if M[r][col] == 0:
-                continue
-            factor = F.mul(M[r][col], pinv)
-            for c in range(col, n):
-                M[r][c] = F.sub(M[r][c], F.mul(factor, M[col][c]))
-    return acc
+    if len(_echelon(A.field, M)) < A.rows:
+        return 0
+    return reduce(A.field.mul, (M[i][i] for i in range(A.rows)), 1)
 
 
 def is_superregular(A: ConstMatrix) -> SuperregularityReport:
@@ -106,13 +120,14 @@ def is_superregular(A: ConstMatrix) -> SuperregularityReport:
     early exit on the first zero minor; 1x1 minors go first, so a zero
     entry fails immediately.
     """
+    F, E = A.field, A.entries
     checked = 0
     for size in range(1, min(A.rows, A.cols) + 1):
         for rsub in combinations(range(A.rows), size):
+            rows = [E[i] for i in rsub]
             for csub in combinations(range(A.cols), size):
                 checked += 1
-                d = det(A.submatrix(rsub, csub))
-                if d == 0:
+                if len(_echelon(F, [[row[j] for j in csub] for row in rows])) < size:
                     return SuperregularityReport(False, checked, (rsub, csub, 0))
     return SuperregularityReport(True, checked)
 
@@ -155,46 +170,25 @@ def random_superregular(
     )
 
 
-def _rref(A: ConstMatrix) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    F = A.field
-    M = [list(row) for row in A.entries]
-    nrows, ncols = A.rows, A.cols
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if M[r][col] != 0), None)
-        if pivot is None:
-            continue
-        M[row], M[pivot] = M[pivot], M[row]
-        pinv = F.inv(M[row][col])
-        M[row] = [F.mul(x, pinv) for x in M[row]]
-        for r in range(nrows):
-            if r != row and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [F.sub(x, F.mul(factor, y)) for x, y in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    return M, pivots
-
-
 def rank(A: ConstMatrix) -> int:
-    return len(_rref(A)[1])
+    return len(_echelon(A.field, [list(row) for row in A.entries]))
 
 
 def nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
-    """Basis of the right nullspace {v : A v = 0}, from the RREF free columns."""
+    """Basis of the right nullspace {v : A v = 0}: for each free column, the
+    solution with 1 there and 0 at the other free columns."""
     F = A.field
-    M, pivots = _rref(A)
-    free = [c for c in range(A.cols) if c not in pivots]
+    M = [list(row) for row in A.entries]
+    pivots = _echelon(F, M)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(A.cols) if c not in pivots):
         v = [0] * A.cols
         v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(M[r][fc])
+        for row, pc in reversed(list(zip(M, pivots))):
+            acc = 0
+            for c in range(pc + 1, A.cols):
+                acc = F.add(acc, F.mul(row[c], v[c]))
+            v[pc] = F.neg(F.mul(acc, F.inv(row[pc])))
         basis.append(tuple(v))
     return basis
 

@@ -43,6 +43,15 @@ def test_construct_field_too_small_exit_3():
     assert res.returncode == 3
 
 
+def test_construct_huge_prime_exit_2_fast():
+    # 2^89 - 1 is prime but above the 2^62 field-size limit; the size check
+    # comes before the primality test.
+    res = run_cli("construct", "--p", str(2**89 - 1), "--m", "1", "--n", "2",
+                  "--delta", "1", timeout=10)
+    assert res.returncode == 2
+    assert "too large" in res.stderr
+
+
 def test_construct_staircase_and_flatten(tmp_path):
     out = tmp_path / "code.json"
     res = run_cli(

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from mdconv.galois import FiniteField, GaloisError, make_field
+from mdconv.galois import FiniteField, GaloisError, is_prime, make_field
 
 
 def test_prime_field_has_no_irreducible():
@@ -29,6 +29,34 @@ def test_make_field_rejects_bad_input():
         make_field(6)
     with pytest.raises(GaloisError):
         make_field(2, 0)
+    with pytest.raises(GaloisError, match="too large"):
+        make_field(2, 10**9)  # rejected before 2**(10**9) is computed
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [
+        n for n in range(-3, 10**5) if _trial_division_is_prime(n)]
+
+
+def test_is_prime_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    for n in (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265):
+        assert not _trial_division_is_prime(n) and not is_prime(n)
+    # Strong pseudoprimes to every prime base up to 7, 11 and 31; the last
+    # one, below 2^62, is caught only by base 37.
+    assert 3215031751 == 151 * 751 * 28351
+    assert 2152302898747 == 6763 * 10627 * 29947
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    for n in (3215031751, 2152302898747, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1) and is_prime(2**31 - 1)
+
+
+def test_make_field_61_bit_prime():
+    assert make_field(2**61 - 1).q == 2**61 - 1
 
 
 def test_make_field_deterministic():

@@ -2,8 +2,10 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdconv.galois import GaloisError, make_field
+from mdconv.multipoly import Polynomial, PolyMatrix
 from mdconv.superreg import (
     ConstMatrix,
     SearchExhaustedError,
@@ -22,6 +24,10 @@ F2 = make_field(2)
 F3 = make_field(3)
 F5 = make_field(5)
 F7 = make_field(7)
+F4 = make_field(2, 2)
+F8 = make_field(2, 3)
+F9 = make_field(3, 2)
+SMALL_FIELDS = [F2, F3, F4, F5, F7, F8, F9]
 
 
 def test_one_by_one_minors():
@@ -117,8 +123,8 @@ def test_nullspace_examples():
 
 def test_rank_nullity_and_kernel_property():
     rng = random.Random(23)
-    for _ in range(50):
-        F = rng.choice([F2, F3, F5, F7])
+    for _ in range(80):
+        F = rng.choice(SMALL_FIELDS)
         r, s = rng.randrange(1, 5), rng.randrange(1, 5)
         A = ConstMatrix(F, tuple(
             tuple(rng.randrange(F.q) for _ in range(s)) for _ in range(r)
@@ -127,6 +133,14 @@ def test_rank_nullity_and_kernel_property():
         assert rank(A) + len(basis) == s
         for v in basis:
             assert mat_vec(A, v) == (0,) * r
+        # Canonical basis: column c is free iff it lies in the span of the
+        # columns before it, and the vector of a free column has 1 there and
+        # 0 at every other free column.
+        prefix_rank = [0] + [rank(A.submatrix(range(r), range(c))) for c in range(1, s + 1)]
+        free = [c for c in range(s) if prefix_rank[c + 1] == prefix_rank[c]]
+        assert len(basis) == len(free)
+        for v, fc in zip(basis, free):
+            assert [v[c] for c in free] == [int(c == fc) for c in free]
 
 
 def test_left_nullspace_via_transpose():
@@ -159,13 +173,41 @@ def test_weight_lemma_small():
 
 
 def test_det_matches_cofactor_on_poly_free_matrices():
-    # Cross-check elimination against explicit 2x2 and 3x3 formulas.
+    # Elimination against cofactor expansion (PolyMatrix.determinant on
+    # constant polynomials), sizes 1-5 over prime and extension fields.  A
+    # zero in the top-left corner, and zeros elsewhere, force row swaps.
     rng = random.Random(31)
-    for _ in range(50):
-        F = rng.choice([F3, F5, F7])
-        a, b, c, d = (rng.randrange(F.q) for _ in range(4))
-        A = ConstMatrix(F, ((a, b), (c, d)))
-        assert det(A) == F.sub(F.mul(a, d), F.mul(b, c))
+    for _ in range(200):
+        F = rng.choice(SMALL_FIELDS)
+        n = rng.randrange(1, 6)
+        zeros = rng.choice([0.0, 0.3, 0.6])
+        E = [[0 if rng.random() < zeros else rng.randrange(F.q) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.5:
+            E[0][0] = 0
+        P = PolyMatrix(F, 1, [[Polynomial.constant(F, 1, x) for x in row] for row in E])
+        assert det(ConstMatrix(F, tuple(map(tuple, E)))) == P.determinant().coeff((0,))
+
+
+@st.composite
+def small_matrices(draw):
+    F = draw(st.sampled_from(SMALL_FIELDS))
+    r, s = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entry = st.integers(0, F.q - 1)
+    return ConstMatrix(F, tuple(tuple(draw(entry) for _ in range(s)) for _ in range(r)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrices())
+def test_superregular_iff_systematic_code_is_mds(A):
+    # Roth-Seroussi: A is superregular iff [I | A] generates an MDS code, that
+    # is, wt(u) + wt(uA) >= s + 1 for every nonzero u.  This oracle shares no
+    # code with the minor scan.
+    min_weight = min(
+        sum(1 for x in u if x) + sum(1 for x in vec_mat(u, A) if x)
+        for u in product(range(A.field.q), repeat=A.rows) if any(u)
+    )
+    assert is_superregular(A).verdict == (min_weight >= A.cols + 1)
 
 
 def test_json_round_trip():
