@@ -17,14 +17,14 @@ prime subfield GF(p), for every field GF(p^e).  Each message coefficient
 is expanded to its e base-p digits (its power-basis coordinates, see
 `galois`), each generator coefficient g to the e x e GF(p) matrix of
 x -> g*x, and a codeword coefficient is nonzero iff one of its e digits
-is.  Prime fields are the case e = 1.  numpy is imported on first use, so
-`import mdconv` does not pay for it.
+is.  Prime fields are the case e = 1.  numpy is imported on first use,
+and the thread pool only for workers > 1, so `import mdconv` pays for
+neither.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -252,6 +252,8 @@ def free_distance_estimate(
 
     strata = range(enum.dim)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, strata))
     else:

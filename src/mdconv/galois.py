@@ -3,14 +3,25 @@
 Elements are encoded as integers in [0, q).  For extension fields the
 base-p digits of the code, ascending, are the coordinates in the power
 basis 1, x, ..., x^(e-1).  Arithmetic is direct modular arithmetic for
-prime fields and polynomial multiply-and-reduce for extensions; the
-fields in play are small, so no log/exp tables are kept.
+prime fields and polynomial multiply-and-reduce for extensions.
+
+Inversion uses no exponentiation.  Prime fields use Python's builtin
+modular inverse pow(a, -1, p); extension fields run the extended Euclidean
+algorithm in GF(p)[x] against the field's irreducible polynomial.  The
+canonical irreducible is selected with Ben-Or's test ("Probabilistic
+algorithms in finite fields", FOCS 1981): f of degree e is irreducible iff
+gcd(f, x^(p^i) - x mod f) = 1 for every 1 <= i <= e/2, which takes
+milliseconds even for GF(2^61).
+
+No log/exp tables are kept: they take O(q) memory per field, so they could
+serve only small fields as a second path beside this one.  ROADMAP item 3
+records their measured speedup and what they wait for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class GaloisError(ValueError):
@@ -36,31 +47,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# --- GF(p) polynomial helpers used only for irreducible selection ---
+# --- GF(p)[x]: coefficient lists, ascending ---
 
-def _poly_eval_mod_p(coeffs: tuple[int, ...], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
+def _trim(coeffs: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place; the zero polynomial is []."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
-def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num / den over GF(p); den is monic."""
-    num = list(num)
+def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of num / den over GF(p); den has no trailing zero."""
+    rem = _trim(list(num))
     dn = len(den) - 1
-    while len(num) - 1 >= dn and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dn:
-            break
-        lead = num[-1]
-        shift = len(num) - 1 - dn
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - lead * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return num
+    inv_lead = pow(den[-1], -1, p)
+    quot = [0] * max(len(rem) - dn, 0)
+    while len(rem) > dn:
+        shift = len(rem) - 1 - dn
+        c = quot[shift] = rem[-1] * inv_lead % p
+        for i, d in enumerate(den, shift):
+            rem[i] = (rem[i] - c * d) % p
+        _trim(rem)
+    return quot, rem
 
 
 def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
@@ -78,18 +86,19 @@ def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
+    """Ben-Or's test for a monic f: irreducible iff gcd(f, x^(p^i) - x) = 1
+    for every 1 <= i <= deg f / 2, with x^(p^i) reduced mod f."""
     deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-    if deg <= 3:
-        # A polynomial of degree 2 or 3 is irreducible iff it has no root.
-        return all(_poly_eval_mod_p(coeffs, x, p) != 0 for x in range(p))
-    # Reducible iff a monic factor of degree <= deg / 2 divides it.  x is not
-    # tried: the candidates of `_canonical_irreducible` have a nonzero constant.
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if not _poly_mod(list(coeffs), list(cand), p):
-                return False
+    # The ring GF(p)[x]/(f); its multiply-and-reduce needs only f monic.
+    ring = FiniteField(p, deg, coeffs)
+    h = p  # the code of x
+    for _ in range(deg // 2):
+        h = ring.pow(h, p)
+        r0, r1 = coeffs, _trim(ring._digits(ring.sub(h, p)))
+        while r1:
+            r0, r1 = r1, _poly_divmod(r0, r1, p)[1]
+        if len(r0) > 1:
+            return False
     return True
 
 
@@ -157,14 +166,28 @@ class FiniteField:
             if x:
                 for j, y in enumerate(db):
                     prod[i + j] = (prod[i + j] + x * y) % self.p
-        rem = _poly_mod(prod, list(self.irreducible), self.p)
-        rem += [0] * (self.e - len(rem))
-        return self._code(rem)
+        return self._code(_poly_divmod(prod, self.irreducible, self.p)[1])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise GaloisError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
+        p = self.p
+        if self.e == 1:
+            return pow(a, -1, p)
+        # Extended Euclid on (f, a): s_i * a = r_i (mod f) throughout.  The
+        # last nonzero remainder is a constant because f is irreducible.
+        r0, r1 = self.irreducible, _trim(self._digits(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            quot, rem = _poly_divmod(r0, r1, p)
+            # s0 - quot * s1; deg s grows each step, so no zero is trailing.
+            s = s0 + [0] * (len(quot) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(quot):
+                for j, y in enumerate(s1):
+                    s[i + j] = (s[i + j] - x * y) % p
+            r0, r1, s0, s1 = r1, rem, s1, s
+        c = pow(r1[0], -1, p)
+        return self._code([c * x % p for x in s1])
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:

@@ -52,6 +52,13 @@ def test_construct_huge_prime_exit_2_fast():
     assert "too large" in res.stderr
 
 
+def test_construct_large_extension_degree_fast():
+    res = run_cli("construct", "--p", "2", "--e", "61", "--m", "1", "--n", "2",
+                  "--delta", "1", timeout=10)
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["certificate"]["verdict"] == "CERTIFIED_MDS"
+
+
 def test_construct_staircase_and_flatten(tmp_path):
     out = tmp_path / "code.json"
     res = run_cli(

@@ -298,10 +298,11 @@ def test_report_independent_of_workers_and_batch_size(code, stop_below, normaliz
 
 def test_import_does_not_load_numpy():
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, mdconv; print('numpy' in sys.modules)"],
+        [sys.executable, "-c",
+         "import sys, mdconv; print([m in sys.modules for m in ('numpy', 'concurrent.futures')])"],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
 
 
 def test_worker_count_does_not_change_report():

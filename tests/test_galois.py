@@ -1,8 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 
-from mdconv.galois import FiniteField, GaloisError, is_prime, make_field
+from mdconv.galois import (
+    FiniteField, GaloisError, _is_irreducible, _monic_polys, _poly_divmod, is_prime, make_field,
+)
 
 
 def test_prime_field_has_no_irreducible():
@@ -59,6 +62,41 @@ def test_make_field_61_bit_prime():
     assert make_field(2**61 - 1).q == 2**61 - 1
 
 
+def _trial_division_is_irreducible(coeffs, p):
+    """Reference: monic f with f(0) != 0 is reducible iff a monic polynomial
+    of degree <= deg f / 2 with nonzero constant term divides it."""
+    return not any(
+        not _poly_divmod(coeffs, cand, p)[1]
+        for d in range(1, (len(coeffs) - 1) // 2 + 1) for cand in _monic_polys(p, d))
+
+
+@pytest.mark.parametrize("p,degrees", [(2, range(2, 9)), (3, range(2, 6)),
+                                       (5, range(2, 5)), (7, range(2, 5))])
+def test_irreducibility_test_matches_trial_division(p, degrees):
+    for deg in degrees:
+        for f in _monic_polys(p, deg):
+            assert _is_irreducible(f, p) == _trial_division_is_irreducible(f, p), f
+
+
+def test_canonical_irreducibles_of_larger_fields():
+    # Values computed by the trial-division selection that Ben-Or replaced.
+    def poly(*exponents):
+        return tuple(int(i in exponents) for i in range(max(exponents) + 1))
+    assert make_field(2, 14).irreducible == poly(0, 5, 14)
+    assert make_field(2, 20).irreducible == poly(0, 3, 20)
+    assert make_field(2, 28).irreducible == poly(0, 1, 28)
+    assert make_field(31, 3).irreducible == (3, 0, 0, 1)
+
+
+def test_make_field_large_extension_degree_is_fast():
+    # x^61 + x^5 + x^2 + x + 1 is a known primitive pentanomial; x^2 + 1 is
+    # irreducible over GF(p) for p = 3 (mod 4).
+    assert make_field(2, 61).irreducible == tuple(
+        int(i in (0, 1, 2, 5, 61)) for i in range(62))
+    assert make_field(3, 39).q == 3**39
+    assert make_field(2**31 - 1, 2).irreducible == (1, 0, 1)
+
+
 def test_make_field_deterministic():
     assert make_field(2, 4) == make_field(2, 4)
     assert make_field(5, 2).irreducible == make_field(5, 2).irreducible
@@ -81,8 +119,32 @@ def test_gf4_mul_reduces_modulo_irreducible():
 
 
 def test_inv_of_zero_raises():
-    with pytest.raises(GaloisError):
-        make_field(5).inv(0)
+    for F in (make_field(5), make_field(2**61 - 1), make_field(3, 2), make_field(2, 61)):
+        with pytest.raises(GaloisError):
+            F.inv(0)
+
+
+INV_FIELDS = ([(p, 1) for p in range(2, 256) if _trial_division_is_prime(p)]
+              + [(2, e) for e in range(2, 9)] + [(3, e) for e in range(2, 6)]
+              + [(5, 2), (5, 3), (7, 2), (11, 2), (13, 2)])
+
+
+@pytest.mark.parametrize("p,e", INV_FIELDS)
+def test_inv_matches_fermat_exhaustive(p, e):
+    # a^(q-2) is the inverse by Fermat's little theorem; `inv` does not use it.
+    F = make_field(p, e)
+    for a in range(1, F.q):
+        assert F.inv(a) == F.pow(a, F.q - 2)
+        assert F.mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,e", [(2, 61), (3, 39), (2**61 - 1, 1), (2**32 - 5, 1)])
+def test_inv_of_random_elements_in_large_fields(p, e):
+    F = make_field(p, e)
+    rng = random.Random(p + e)
+    for a in [1, F.q - 1] + [rng.randrange(1, F.q) for _ in range(30)]:
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.pow(a, -1) == F.inv(a)
 
 
 def test_enumerate_elements():
