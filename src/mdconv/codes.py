@@ -6,6 +6,14 @@ coefficient row-vectors of every monomial of total degree <= d (zero
 coefficients included), in canonical order: ascending lexicographic on the
 reversed exponent tuple, which is exactly the recursion on the last
 variable.  Multi-row matrices flatten row by row, block after block.
+
+Certification is one rule.  A generator with row degrees d_1 >= ... >=
+d_{k-1} > d_k (any single row included) is MDS with free distance
+n*C(d_k+m, m) when n >= sum_{i<k}(d_i + 1) + d_k + 1 and its flattening is
+superregular.  The three construction theorems RATE_1N (k = 1), STAIRCASE_KN
+(k - 1 rows of degree nu + 1 over one of degree nu) and MD_STAIRCASE_BOUND
+(any other such profile) are labels of this rule; they differ only in how a
+certificate names its hypotheses.
 """
 
 from __future__ import annotations
@@ -231,9 +239,13 @@ def _superregularity_hypothesis(G: PolyMatrix) -> Hypothesis:
 
 
 def certify(code: CodeDescriptor) -> MdsCertificate:
-    """Match the generator's row-degree profile against the construction
-    theorems and check each hypothesis.  NOT_CERTIFIED makes no claim of
-    non-MDS-ness."""
+    """Certify the generator by the one rule of this module: for a row-degree
+    profile d_1 >= ... >= d_{k-1} > d_k, n >= sum_{i<k}(d_i + 1) + d_k + 1
+    and a superregular flattening give free distance n*C(d_k+m, m).  The
+    profile picks only the labels: RATE_1N for k = 1, else STAIRCASE_KN for
+    k - 1 rows of degree nu + 1 over one of degree nu, else
+    MD_STAIRCASE_BOUND.  The flattening is scanned only when the length
+    condition holds.  NOT_CERTIFIED makes no claim of non-MDS-ness."""
     import warnings
 
     m, k, n = code.m, code.k, code.n
@@ -247,58 +259,25 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
             NOT_CERTIFIED,
         )
     degrees = [int(d) for d in degrees]
+    nu = degrees[-1]
+    need = sum(d + 1 for d in degrees[:-1]) + nu + 1
 
     if k == 1:
-        delta = degrees[0]
-        hyps = [
-            Hypothesis("single_row_generator", True, f"k = 1, row degree {delta}"),
-            Hypothesis(
-                "length_at_least_degree_plus_one",
-                n >= delta + 1,
-                f"n = {n}, delta + 1 = {delta + 1}",
-            ),
-        ]
-        if hyps[1].passed:
-            hyps.append(_superregularity_hypothesis(code.generator))
-        distance = n * support_count(delta, m)
         theorem = RATE_1N
-    elif degrees == [degrees[0]] * (k - 1) + [degrees[0] - 1]:
-        nu = degrees[-1]
-        hyps = [
-            Hypothesis(
-                "staircase_row_degrees",
-                True,
-                f"{k - 1} rows of degree {nu + 1}, one of degree {nu}",
-            ),
-            Hypothesis(
-                "length_condition",
-                n >= k * (nu + 2) - 1,
-                f"n = {n}, k(nu+2) - 1 = {k * (nu + 2) - 1}",
-            ),
-        ]
-        if hyps[1].passed:
-            hyps.append(_superregularity_hypothesis(code.generator))
-        distance = singleton_bound(m, k, n, k * nu + k - 1)
+        profile = Hypothesis("single_row_generator", True, f"k = 1, row degree {nu}")
+        length, length_detail = "length_at_least_degree_plus_one", f"n = {n}, delta + 1 = {need}"
+    elif degrees == [nu + 1] * (k - 1) + [nu]:
         theorem = STAIRCASE_KN
-    elif all(a >= b for a, b in zip(degrees, degrees[1:])) and degrees[-2] > degrees[-1]:
-        nu_last = degrees[-1]
-        length_needed = sum(d + 1 for d in degrees[:-1]) + nu_last + 1
-        hyps = [
-            Hypothesis(
-                "descending_row_degrees",
-                True,
-                f"profile {degrees}, last degree strictly smallest",
-            ),
-            Hypothesis(
-                "length_condition",
-                n >= length_needed,
-                f"n = {n}, required {length_needed}",
-            ),
-        ]
-        if hyps[1].passed:
-            hyps.append(_superregularity_hypothesis(code.generator))
-        distance = staircase_distance_bound(m, n, nu_last)
+        profile = Hypothesis(
+            "staircase_row_degrees", True, f"{k - 1} rows of degree {nu + 1}, one of degree {nu}"
+        )
+        length, length_detail = "length_condition", f"n = {n}, k(nu+2) - 1 = {need}"
+    elif all(a >= b for a, b in zip(degrees, degrees[1:])) and degrees[-2] > nu:
         theorem = MD_STAIRCASE_BOUND
+        profile = Hypothesis(
+            "descending_row_degrees", True, f"profile {degrees}, last degree strictly smallest"
+        )
+        length, length_detail = "length_condition", f"n = {n}, required {need}"
     else:
         sr = _superregularity_hypothesis(code.generator)
         return MdsCertificate(
@@ -314,7 +293,11 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
             NOT_CERTIFIED,
         )
 
+    hyps = [profile, Hypothesis(length, n >= need, length_detail)]
+    if n >= need:
+        hyps.append(_superregularity_hypothesis(code.generator))
     if all(h.passed for h in hyps):
+        distance = staircase_distance_bound(m, n, nu)
         return MdsCertificate(theorem, tuple(hyps), CERTIFIED_MDS, distance)
     return MdsCertificate(theorem, tuple(hyps), NOT_CERTIFIED)
 
@@ -350,6 +333,26 @@ def _superregular_source(
     raise ValueError(f"unknown source {source!r}")
 
 
+def _construct(
+    F: FiniteField,
+    m: int,
+    profile: list[int],
+    n: int,
+    source: Source,
+    seed: int,
+    max_tries: int,
+) -> tuple[CodeDescriptor, MdsCertificate]:
+    """Lift a superregular source into one row per degree of `profile` and
+    certify the result."""
+    rows = sum(support_count(d, m) for d in profile)
+    S = _superregular_source(F, rows, n, source, seed, max_tries)
+    code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))
+    cert = certify(code)
+    if cert.verdict != CERTIFIED_MDS:
+        raise ConstructionError("construction failed its own certificate")
+    return code, cert
+
+
 def construct_mds_rate_1n(
     F: FiniteField,
     m: int,
@@ -363,14 +366,7 @@ def construct_mds_rate_1n(
     from a superregular C(delta+m, m) x n matrix."""
     if n < delta + 1:
         raise ValueError(f"need n >= delta + 1, got n = {n}, delta = {delta}")
-    rows = support_count(delta, m)
-    S = _superregular_source(F, rows, n, source, seed, max_tries)
-    G = phi_lift(S, m, [(1, delta)])
-    code = CodeDescriptor.from_generator(G)
-    cert = certify(code)
-    if cert.verdict != CERTIFIED_MDS:
-        raise ConstructionError("construction failed its own certificate")
-    return code, cert
+    return _construct(F, m, [delta], n, source, seed, max_tries)
 
 
 def construct_mds_staircase(
@@ -387,20 +383,11 @@ def construct_mds_staircase(
     of degree nu + 1 and one row of degree nu, flattening superregular."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return construct_mds_rate_1n(F, m, n, nu, source, seed, max_tries)
     if n < k * (nu + 2) - 1:
         raise ValueError(
             f"need n >= k(nu+2) - 1 = {k * (nu + 2) - 1}, got n = {n}"
         )
-    rows = (k - 1) * support_count(nu + 1, m) + support_count(nu, m)
-    S = _superregular_source(F, rows, n, source, seed, max_tries)
-    G = phi_lift(S, m, [(1, nu + 1)] * (k - 1) + [(1, nu)])
-    code = CodeDescriptor.from_generator(G)
-    cert = certify(code)
-    if cert.verdict != CERTIFIED_MDS:
-        raise ConstructionError("construction failed its own certificate")
-    return code, cert
+    return _construct(F, m, [nu + 1] * (k - 1) + [nu], n, source, seed, max_tries)
 
 
 # ---------------------------------------------------------------------------

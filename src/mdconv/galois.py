@@ -14,8 +14,9 @@ gcd(f, x^(p^i) - x mod f) = 1 for every 1 <= i <= e/2, which takes
 milliseconds even for GF(2^61).
 
 No log/exp tables are kept: they take O(q) memory per field, so they could
-serve only small fields as a second path beside this one.  ROADMAP item 3
-records their measured speedup and what they wait for.
+serve only small fields as a second path beside this one.  ROADMAP item 2,
+stage two (log/exp tables), records their measured speedup and what they
+wait for.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ class FiniteField:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        acc, base = 1, a
-        while n:
-            if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            n >>= 1
+        if n == 0:
+            return 1
+        # Left to right over the bits of n after the leading one.
+        acc = a
+        for bit in bin(n)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
         return acc
 
     def elements(self) -> range:

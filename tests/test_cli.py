@@ -136,6 +136,18 @@ def test_distance_int64_overflow_exit_2(tmp_path):
     assert "int64" in res.stderr and res.stdout == ""
 
 
+def test_certify_k_above_n_not_certified_exit_1(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"field": {"p": 5, "e": 1}, "m": 1, "k": 2, "n": 1,
+                                "generator": [[[[[0], 1], [[1], 1]]], [[[[0], 2]]]]}))
+    res = run_cli("certify", "-i", str(path))
+    assert res.returncode == 1
+    cert = json.loads(res.stdout)
+    assert cert["verdict"] == "NOT_CERTIFIED"
+    assert cert["hypotheses"][1] == {"name": "length_condition", "passed": False,
+                                     "detail": "n = 1, k(nu+2) - 1 = 3"}
+
+
 def test_missing_input_exit_2():
     res = run_cli("certify", "-i", "/nonexistent/code.json")
     assert res.returncode == 2

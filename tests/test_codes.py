@@ -1,10 +1,14 @@
+import functools
+import json
 import random
+import warnings
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdconv.galois import make_field
 from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
-from mdconv.superreg import ConstMatrix, is_superregular
+from mdconv.superreg import ConstMatrix, cauchy_matrix, is_superregular
 from mdconv.codes import (
     CERTIFIED_MDS,
     MD_STAIRCASE_BOUND,
@@ -29,6 +33,7 @@ from mdconv.codes import (
 F2 = make_field(2)
 F5 = make_field(5)
 F7 = make_field(7)
+F11 = make_field(11)
 F17 = make_field(17)
 
 
@@ -115,8 +120,15 @@ def test_lift_inverts_flatten_examples():
     assert phi_lift(S2, 2, [(1, 1)]) == gf7_generator()
 
 
-def test_lift_then_flatten_is_identity():
+def _examples(cases):
+    """Apply one hypothesis @example per case."""
+    return lambda test: functools.reduce(lambda t, case: example(case)(t), cases, test)
+
+
+def _seed_37_lift_cases():
+    """The 30 (S, m, plan) cases of the former seeded example loop."""
     rng = random.Random(37)
+    cases = []
     for _ in range(30):
         F = rng.choice([F2, F5, F7])
         m = rng.choice([1, 2])
@@ -126,19 +138,33 @@ def test_lift_then_flatten_is_identity():
         S = ConstMatrix(F, tuple(
             tuple(rng.randrange(F.q) for _ in range(cols)) for _ in range(rows)
         ))
-        try:
-            G = phi_lift(S, m, plan)
-        except ValueError:
-            continue  # a lifted row may be entirely zero
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if any(all(p.is_zero() for p in row) for row in G.entries):
-                continue
-            # The round trip only holds when each row attains its planned degree.
-            if [int(d) for d in G.row_degrees()] != [d for b, d in plan for _ in range(b)]:
-                continue
-            assert phi_flatten(G).matrix == S
+        cases.append((S, m, plan))
+    return cases
+
+
+@st.composite
+def descending_lift_cases(draw):
+    F = draw(st.sampled_from([F2, F5, F7]))
+    m = draw(st.integers(1, 2))
+    profile = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)), reverse=True)
+    rows = sum(support_count(d, m) for d in profile)
+    cols = draw(st.integers(1, 3))
+    entry = st.integers(0, F.q - 1)
+    S = ConstMatrix(F, tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows)))
+    return S, m, [(1, d) for d in profile]
+
+
+@settings(max_examples=100, deadline=None)
+@given(descending_lift_cases())
+@_examples(_seed_37_lift_cases())
+def test_lift_then_flatten_is_identity(case):
+    S, m, plan = case
+    G = phi_lift(S, m, plan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        # The round trip only holds when each row attains its planned degree.
+        assume(list(G.row_degrees()) == [d for b, d in plan for _ in range(b)])
+        assert phi_flatten(G).matrix == S
 
 
 def test_flatten_then_lift_is_identity_on_full_support_closure():
@@ -293,6 +319,22 @@ def test_certify_single_row_length_failure():
     assert failed.name == "length_at_least_degree_plus_one"
 
 
+# k = 2 > n = 1 with the staircase profile [1, 0]: the length condition
+# fails, and the certificate needs no Singleton bound (undefined for k > n).
+K_ABOVE_N_CODE = {"field": {"p": 5, "e": 1}, "m": 1, "k": 2, "n": 1,
+                  "generator": [[[[[0], 1], [[1], 1]]], [[[[0], 2]]]]}
+
+
+def test_certify_staircase_profile_with_k_above_n():
+    cert = certify(CodeDescriptor.from_json(K_ABOVE_N_CODE))
+    assert cert.theorem == STAIRCASE_KN
+    assert cert.verdict == NOT_CERTIFIED
+    length = cert.hypotheses[1]
+    assert (length.name, length.passed) == ("length_condition", False)
+    assert length.detail == "n = 1, k(nu+2) - 1 = 3"
+    assert len(cert.hypotheses) == 2
+
+
 def test_certify_md_staircase_profile():
     # Three degree blocks 2 > 1 > 0 over a field large enough for Cauchy.
     F = make_field(23)
@@ -308,15 +350,108 @@ def test_certify_md_staircase_profile():
     assert cert.certified_distance == staircase_distance_bound(2, n, 0) == n
 
 
-def test_certify_invariant_under_column_permutation():
-    rng = random.Random(43)
-    code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
-    perm = rng.sample(range(3), 3)
+def _lifted(F, m, degrees, entries):
+    S = ConstMatrix(F, tuple(tuple(r) for r in entries))
+    return CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in degrees]))
+
+
+def _cauchy(F, r, s):
+    return cauchy_matrix(F, list(range(r)), list(range(r, r + s))).entries
+
+
+def _zero_row_code():
+    one, two = Polynomial.constant(F5, 1, 1), Polynomial.constant(F5, 1, 2)
+    G = PolyMatrix(F5, 1, [[one, two], [Polynomial.zero(F5, 1)] * 2])
+    with pytest.warns(UserWarning):
+        return CodeDescriptor.from_generator(G)
+
+
+# One small code per certificate outcome, with the exact certificate JSON
+# recorded before `certify` was folded into one rule.
+GOLDEN_CERTIFICATES = [
+    ("rate_1n_pass", lambda: _lifted(F5, 1, [1], [[1, 1], [1, 2]]),
+     '{"certified_distance": 4, "hypotheses": [{"detail": "k = 1, row degree 1", "name": "single_row_generator", "passed": true}, {"detail": "n = 2, delta + 1 = 2", "name": "length_at_least_degree_plus_one", "passed": true}, {"detail": "all 5 minors nonzero", "name": "flatten_superregular", "passed": true}], "theorem": "RATE_1N", "verdict": "CERTIFIED_MDS"}'),
+    ("rate_1n_length_fail", lambda: _lifted(F5, 1, [1], [[1], [1]]),
+     '{"certified_distance": null, "hypotheses": [{"detail": "k = 1, row degree 1", "name": "single_row_generator", "passed": true}, {"detail": "n = 1, delta + 1 = 2", "name": "length_at_least_degree_plus_one", "passed": false}], "theorem": "RATE_1N", "verdict": "NOT_CERTIFIED"}'),
+    ("rate_1n_sr_fail", lambda: _lifted(F5, 1, [1], [[1, 0], [1, 2]]),
+     '{"certified_distance": null, "hypotheses": [{"detail": "k = 1, row degree 1", "name": "single_row_generator", "passed": true}, {"detail": "n = 2, delta + 1 = 2", "name": "length_at_least_degree_plus_one", "passed": true}, {"detail": "zero minor at rows [0], cols [1]", "name": "flatten_superregular", "passed": false}], "theorem": "RATE_1N", "verdict": "NOT_CERTIFIED"}'),
+    ("staircase_pass", lambda: _lifted(F7, 1, [1, 0], _cauchy(F7, 3, 3)),
+     '{"certified_distance": 3, "hypotheses": [{"detail": "1 rows of degree 1, one of degree 0", "name": "staircase_row_degrees", "passed": true}, {"detail": "n = 3, k(nu+2) - 1 = 3", "name": "length_condition", "passed": true}, {"detail": "all 19 minors nonzero", "name": "flatten_superregular", "passed": true}], "theorem": "STAIRCASE_KN", "verdict": "CERTIFIED_MDS"}'),
+    ("staircase_length_fail", lambda: _lifted(F7, 1, [1, 0], _cauchy(F7, 3, 2)),
+     '{"certified_distance": null, "hypotheses": [{"detail": "1 rows of degree 1, one of degree 0", "name": "staircase_row_degrees", "passed": true}, {"detail": "n = 2, k(nu+2) - 1 = 3", "name": "length_condition", "passed": false}], "theorem": "STAIRCASE_KN", "verdict": "NOT_CERTIFIED"}'),
+    ("staircase_sr_fail", lambda: _lifted(F7, 1, [1, 0], [[1, 2, 3], [1, 1, 1], [1, 0, 4]]),
+     '{"certified_distance": null, "hypotheses": [{"detail": "1 rows of degree 1, one of degree 0", "name": "staircase_row_degrees", "passed": true}, {"detail": "n = 3, k(nu+2) - 1 = 3", "name": "length_condition", "passed": true}, {"detail": "zero minor at rows [2], cols [1]", "name": "flatten_superregular", "passed": false}], "theorem": "STAIRCASE_KN", "verdict": "NOT_CERTIFIED"}'),
+    ("md_staircase_pass", lambda: _lifted(F11, 1, [2, 0], _cauchy(F11, 4, 4)),
+     '{"certified_distance": 4, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 4, required 4", "name": "length_condition", "passed": true}, {"detail": "all 69 minors nonzero", "name": "flatten_superregular", "passed": true}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "CERTIFIED_MDS"}'),
+    ("md_staircase_length_fail", lambda: _lifted(F11, 1, [2, 0], _cauchy(F11, 4, 3)),
+     '{"certified_distance": null, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 3, required 4", "name": "length_condition", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
+    ("md_staircase_sr_fail",
+     lambda: _lifted(F11, 1, [2, 0], [[1, 2, 3, 4], [0, 1, 1, 1], [1, 5, 6, 7], [1, 1, 1, 1]]),
+     '{"certified_distance": null, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 4, required 4", "name": "length_condition", "passed": true}, {"detail": "zero minor at rows [1], cols [0]", "name": "flatten_superregular", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
+    ("unrecognized_profile", lambda: _lifted(F5, 1, [0, 1], [[1, 2, 3], [1, 1, 1], [1, 4, 2]]),
+     '{"certified_distance": null, "hypotheses": [{"detail": "profile [0, 1] matches no construction theorem", "name": "recognized_row_degree_profile", "passed": false}, {"detail": "zero minor at rows [0, 1, 2], cols [0, 1, 2]", "name": "flatten_superregular", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
+    ("zero_row", _zero_row_code,
+     '{"certified_distance": null, "hypotheses": [{"detail": "generator contains a zero row", "name": "nonzero_rows", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
+]
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [case[1:] for case in GOLDEN_CERTIFICATES],
+    ids=[case[0] for case in GOLDEN_CERTIFICATES],
+)
+def test_certificate_json_golden(build, expected):
+    assert json.dumps(certify(build()).to_json(), sort_keys=True) == expected
+
+
+@st.composite
+def codes_and_column_permutations(draw):
+    F = draw(st.sampled_from(
+        [F2, F5, F7, F11, make_field(13), make_field(2, 2), make_field(3, 2)]
+    ))
+    m = draw(st.integers(1, 2))
+    shape = draw(st.sampled_from(["staircase", "descending", "any"]))
+    k = draw(st.integers(1, 3))
+    profile = draw(st.lists(st.integers(0, 3 - m), min_size=k, max_size=k))
+    if shape == "staircase":
+        nu = min(profile[0], 2 - m)
+        profile = [nu + 1] * (k - 1) + [nu]
+    elif shape == "descending":
+        profile.sort(reverse=True)
+    rows = sum(support_count(d, m) for d in profile)
+    # n near the length threshold n >= sum_{i<k}(d_i + 1) + d_k + 1.
+    need = sum(profile) + len(profile)
+    n = max(1, min(need + draw(st.integers(-2, 2)), 12 - rows))
+    if F.q >= rows + n and draw(st.integers(0, 3)):  # mostly Cauchy, which passes
+        entries = _cauchy(F, rows, n)
+    else:
+        entry = st.integers(0, F.q - 1)
+        entries = [[draw(entry) for _ in range(n)] for _ in range(rows)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = _lifted(F, m, profile, entries)
+    return code, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes_and_column_permutations())
+@example((CodeDescriptor.from_generator(gf7_generator()), random.Random(43).sample(range(3), 3)))
+@example((_lifted(F7, 1, [1, 0], _cauchy(F7, 3, 3)), [2, 0, 1]))
+@example((_lifted(F11, 1, [2, 0], _cauchy(F11, 4, 4)), [3, 1, 0, 2]))
+def test_certify_invariant_under_column_permutation(case):
+    # Column permutations keep the row degrees and permute the minors of the
+    # flattening, so only the location of a zero minor may move.
+    code, perm = case
     G = code.generator
-    Gp = PolyMatrix(F7, 2, [[row[j] for j in perm] for row in G.entries])
-    cert = certify(CodeDescriptor.from_generator(Gp))
-    assert cert.verdict == CERTIFIED_MDS
-    assert cert.certified_distance == 9
+    Gp = PolyMatrix(G.field, G.m, [[row[j] for j in perm] for row in G.entries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        permuted = certify(CodeDescriptor.from_generator(Gp))
+    cert = certify(code)
+    if cert.verdict == CERTIFIED_MDS:
+        assert permuted.to_json() == cert.to_json()
+    else:
+        assert (permuted.theorem, permuted.verdict) == (cert.theorem, cert.verdict)
 
 
 def test_certified_minimal_row_weight_equals_distance():

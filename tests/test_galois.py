@@ -147,6 +147,28 @@ def test_inv_of_random_elements_in_large_fields(p, e):
         assert F.pow(a, -1) == F.inv(a)
 
 
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 3)])
+def test_pow_mul_count_and_values(p, e, monkeypatch):
+    # Square-and-multiply: floor(log2 n) squarings plus popcount(n) - 1
+    # multiplies; the value is checked against repeated multiplication.
+    F = make_field(p, e)
+    calls = []
+    mul = FiniteField.mul
+
+    def counting_mul(self, a, b):
+        calls.append(None)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteField, "mul", counting_mul)
+    for a in range(F.q):
+        expected = 1
+        for n in range(20):
+            calls.clear()
+            assert F.pow(a, n) == expected
+            assert len(calls) == (n.bit_length() - 1 + bin(n).count("1") - 1 if n else 0)
+            expected = mul(F, expected, a)
+
+
 def test_enumerate_elements():
     assert list(make_field(2).elements()) == [0, 1]
     assert list(make_field(5).elements()) == [0, 1, 2, 3, 4]
