@@ -174,20 +174,14 @@ def phi_flatten(G: PolyMatrix) -> FlattenedMatrix:
     """Stack, per source row, the coefficient row-vectors of all monomials of
     total degree up to the row degree (zero coefficients included), rows in
     source order, monomials in canonical order."""
-    import warnings
-
     if all(p.is_zero() for row in G.entries for p in row):
         raise ValueError("cannot flatten the zero matrix")
     rows: list[tuple[int, ...]] = []
     index: list[tuple[int, ExponentVector]] = []
-    for r, row in enumerate(G.entries):
-        d = max((p.total_degree() for p in row), default=NEG_INF)
-        if d == NEG_INF:
-            # A zero row carries no support; emit its single degree-0 slice
-            # (all zeros), which correctly fails any superregularity check.
-            warnings.warn(f"row {r + 1} is zero; flattening a single zero slice", stacklevel=2)
-            d = 0
-        for alpha in monomials_upto(int(d), G.m):
+    for r, (row, d) in enumerate(zip(G.entries, G.row_degrees())):
+        # A zero row carries no support; emit its single degree-0 slice
+        # (all zeros), which correctly fails any superregularity check.
+        for alpha in monomials_upto(0 if d == NEG_INF else int(d), G.m):
             rows.append(tuple(p.coeff(alpha) for p in row))
             index.append((r + 1, alpha))
     return FlattenedMatrix(ConstMatrix(G.field, tuple(rows)), tuple(index))
@@ -246,12 +240,8 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
     k - 1 rows of degree nu + 1 over one of degree nu, else
     MD_STAIRCASE_BOUND.  The flattening is scanned only when the length
     condition holds.  NOT_CERTIFIED makes no claim of non-MDS-ness."""
-    import warnings
-
     m, k, n = code.m, code.k, code.n
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        degrees = code.generator.row_degrees()
+    degrees = code.generator.row_degrees()
     if any(d == NEG_INF for d in degrees):
         return MdsCertificate(
             MD_STAIRCASE_BOUND,

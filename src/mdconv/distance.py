@@ -6,11 +6,13 @@ and monomial shifts), and reports the minimum codeword weight found with
 its witness.  Since only a subset of messages is covered, the result
 always satisfies min_weight_found >= d_free(C).
 
-Messages are enumerated by strata: the stratum of a coefficient vector is
-the flat index of its first nonzero coefficient (component-major, terms in
-canonical order).  Strata are scanned in ascending order; within a
-stratum, tail coefficients count up in base q.  This order is what makes
-reports deterministic and independent of the worker count and batch size.
+Messages are enumerated in a fixed order: by stratum, the flat index of
+the first nonzero coefficient (component-major, terms in canonical
+order), ascending; then by the value of that leading coefficient; then
+with the tail coefficients counting up in base q.  The search is one
+stream of equal batches in this order, reduced in order and ended at the
+first batch that stops, which makes reports deterministic and independent
+of the worker count and batch size.
 
 Codewords are computed in batches by one numpy matrix product over the
 prime subfield GF(p), for every field GF(p^e).  Each message coefficient
@@ -19,21 +21,23 @@ is expanded to its e base-p digits (its power-basis coordinates, see
 x -> g*x, and a codeword coefficient is nonzero iff one of its e digits
 is.  Prime fields are the case e = 1.  numpy is imported on first use,
 and the thread pool only for workers > 1, so `import mdconv` pays for
-neither.
+neither.  A pool encodes one window of batches at a time, so memory does
+not grow with the search space and a stop wastes at most one window.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
 
-#: Most int64 codeword digits (rows x n*T*e) one batch holds; the rows of a
-#: batch are capped by it and by `batch_size`, which bounds the working set
-#: whatever the code's length.
+#: Most int64 codeword digits (rows x n*T*e) one batch holds, which bounds
+#: the working set whatever the code's length.
 _BATCH_ELEMENTS = 1 << 14
+#: Batches handed to a pool of workers > 1 at once.
+_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -68,20 +72,13 @@ def codeword_weight_profile(G: PolyMatrix) -> list[tuple[int, int]]:
     ]
 
 
-@dataclass(frozen=True)
-class _StratumResult:
-    min_weight: Optional[int]
-    witness: Optional[tuple[int, ...]]
-    tried: int
-    stopped: bool
-
-
 class _Enumerator:
-    """Shared geometry and encode map for the enumeration of one (G, cap) pair."""
+    """Shared geometry, encode map and batch order for one search."""
 
-    def __init__(self, G: PolyMatrix, cap: int):
+    def __init__(self, G: PolyMatrix, cap: int, normalize: bool, stop_below: Optional[int]):
         import numpy as np
 
+        self.normalize, self.stop_below = normalize, stop_below
         self.F = F = G.field
         self.k, self.n, self.m = G.rows, G.cols, G.m
         self.monomials = monomials_upto(cap, self.m)
@@ -157,58 +154,53 @@ class _Enumerator:
         W %= p
         return np.count_nonzero(W.reshape(len(C), self.n * self.T, e).any(axis=2), axis=1)
 
-    def scan_stratum(
-        self,
-        p0: int,
-        normalize: bool,
-        stop_below: Optional[int],
-        batch_size: int,
-    ) -> _StratumResult:
-        """Scan the messages whose first nonzero coefficient is at `p0`.
+    def batches(self):
+        """Ranges `(p0, lead, start, stop)` of the tail counter, in
+        enumeration order; each holds at most the rows `_BATCH_ELEMENTS`
+        allows, and at least one."""
+        q = self.F.q
+        rows = max(1, _BATCH_ELEMENTS // max(1, self.n * self.T * self.F.e))
+        for p0 in range(self.dim):
+            total = q ** (self.dim - 1 - p0)
+            for lead in [1] if self.normalize else range(1, q):
+                for start in range(0, total, rows):
+                    yield p0, lead, start, min(start + rows, total)
 
-        With `stop_below`, the scan ends at the first message (in
-        enumeration order) whose weight is below it; that message is the
-        witness and the last one counted in `tried`.
+    def scan(self, batch) -> tuple[Optional[int], Optional[tuple[int, ...]], int, bool]:
+        """Encode one batch: (min weight or None, witness, messages counted,
+        stopped).
+
+        With `stop_below`, the scan ends at the batch's first message whose
+        weight is below it; that message is the witness and the last one
+        counted.  Otherwise the witness is the first message attaining the
+        minimum.
         """
         import numpy as np
 
+        p0, lead, start, stop = batch
         q = self.F.q
-        rows = max(1, min(batch_size, _BATCH_ELEMENTS // max(1, self.n * self.T * self.F.e)))
-        total = q ** (self.dim - 1 - p0)
-        leads = [1] if normalize else range(1, q)
-        best: Optional[int] = None
-        witness = None
-        tried = 0
-        for lead in leads:
-            for start in range(0, total, rows):
-                rem = np.arange(start, min(start + rows, total), dtype=np.int64)
-                C = np.zeros((len(rem), self.dim), dtype=np.int64)
-                C[:, p0] = lead
-                for d in range(self.dim - 1, p0, -1):
-                    C[:, d] = rem % q
-                    rem //= q
-                if normalize:
-                    keep = np.ones(len(C), dtype=bool)
-                    for pos in self.zero_exp_positions:
-                        keep &= C[:, pos].any(axis=1)
-                    C = C[keep]
-                if not len(C):
-                    continue
-                w = self.weights(C)
-                if stop_below is not None:
-                    hits = np.flatnonzero(w < stop_below)
-                    if len(hits):
-                        # Every earlier message weighed at least stop_below.
-                        f = int(hits[0])
-                        return _StratumResult(
-                            int(w[f]), tuple(int(x) for x in C[f]), tried + f + 1, True
-                        )
-                tried += len(C)
-                i = int(np.argmin(w))
-                if best is None or int(w[i]) < best:
-                    best = int(w[i])
-                    witness = tuple(int(x) for x in C[i])
-        return _StratumResult(best, witness, tried, False)
+        rem = np.arange(start, stop, dtype=np.int64)
+        C = np.zeros((len(rem), self.dim), dtype=np.int64)
+        C[:, p0] = lead
+        for d in range(self.dim - 1, p0, -1):
+            C[:, d] = rem % q
+            rem //= q
+        if self.normalize:
+            keep = np.ones(len(C), dtype=bool)
+            for pos in self.zero_exp_positions:
+                keep &= C[:, pos].any(axis=1)
+            C = C[keep]
+        if not len(C):
+            return None, None, 0, False
+        w = self.weights(C)
+        if self.stop_below is not None:
+            hits = np.flatnonzero(w < self.stop_below)
+            if len(hits):
+                # Every earlier message weighed at least stop_below.
+                f = int(hits[0])
+                return int(w[f]), tuple(int(x) for x in C[f]), f + 1, True
+        i = int(np.argmin(w))
+        return int(w[i]), tuple(int(x) for x in C[i]), len(C), False
 
 
 def free_distance_estimate(
@@ -217,7 +209,6 @@ def free_distance_estimate(
     stop_below: Optional[int] = None,
     workers: int = 1,
     normalize: bool = True,
-    batch_size: int = 1 << 16,
 ) -> DistanceReport:
     """Minimum codeword weight over all nonzero messages of total degree
     <= cap, modulo scaling and monomial-shift symmetries.
@@ -225,51 +216,46 @@ def free_distance_estimate(
     With `stop_below`, the search stops at the first codeword (in
     enumeration order) of weight below it: that codeword is the witness,
     `messages_tried` counts up to it, and the report's `below_bound` flag is
-    set.  Results are identical for any `workers` count and `batch_size`
-    (an upper limit on the messages encoded at once): strata are reduced in
-    ascending order and the witness is the first message (in enumeration
-    order) attaining the minimum.
+    set.  Otherwise the witness is the first message (in enumeration order)
+    attaining the minimum.  Batches are reduced in enumeration order, so
+    results are identical for any `workers` count; workers > 1 encode the
+    batches of one window at a time on a thread pool.
 
     Raises ValueError when the field is too large for exact int64
     arithmetic (dim * e * (p - 1)^2 >= 2^63, dim = k * C(cap + m, m)).
     """
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
-    enum = _Enumerator(G, cap)
-    # Lowest stratum that has stopped so far; strata above it are skipped,
-    # since the reduction below never reads past it.
-    lowest_stop = [enum.dim]
-    lock = threading.Lock()
-
-    def job(p0: int) -> Optional[_StratumResult]:
-        if p0 > lowest_stop[0]:
-            return None
-        res = enum.scan_stratum(p0, normalize, stop_below, batch_size)
-        if res.stopped:
-            with lock:
-                lowest_stop[0] = min(lowest_stop[0], p0)
-        return res
-
-    strata = range(enum.dim)
+    enum = _Enumerator(G, cap, normalize, stop_below)
+    batches = enum.batches()
+    pool = None
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, strata))
+        pool = ThreadPoolExecutor(max_workers=workers)
+        results = (
+            res
+            for window in iter(lambda: list(islice(batches, _WINDOW)), [])
+            for res in pool.map(enum.scan, window)
+        )
     else:
-        results = [job(p0) for p0 in strata]
+        results = map(enum.scan, batches)
 
     best: Optional[int] = None
     witness = None
     tried = 0
     below = False
-    for res in results:
-        tried += res.tried
-        if res.min_weight is not None and (best is None or res.min_weight < best):
-            best, witness = res.min_weight, res.witness
-        if res.stopped:
-            below = True
-            break
+    try:
+        for weight, vec, count, stopped in results:
+            tried += count
+            if weight is not None and (best is None or weight < best):
+                best, witness = weight, vec
+            if stopped:
+                below = True
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     if best is None:
         raise ValueError("enumeration covered no messages (empty message space)")

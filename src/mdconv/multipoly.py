@@ -9,7 +9,6 @@ variable first.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
@@ -236,14 +235,8 @@ class PolyMatrix:
         return sum(p.weight() for row in self.entries for p in row)
 
     def row_degrees(self) -> list:
-        """Per-row max entry degree; NEG_INF (with a warning) for zero rows."""
-        out = []
-        for i, row in enumerate(self.entries):
-            d = max((p.total_degree() for p in row), default=NEG_INF)
-            if d == NEG_INF:
-                warnings.warn(f"row {i + 1} is zero; its row degree is undefined", stacklevel=2)
-            out.append(d)
-        return out
+        """Per-row max entry degree; NEG_INF for zero rows."""
+        return [max((p.total_degree() for p in row), default=NEG_INF) for row in self.entries]
 
     def external_degree(self) -> int:
         """Sum of the row degrees, skipping zero rows."""

@@ -122,6 +122,21 @@ def test_distance_exit_codes(tmp_path):
     assert json.loads(bad.stdout)["below_bound"]
 
 
+def test_zero_row_code_writes_no_warning(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({
+        "field": {"p": 5, "e": 1}, "m": 1, "k": 2, "n": 2,
+        "generator": [[[[[0], 1], [[1], 1]], [[[0], 2]]], [[], []]],
+    }))
+    for cmd, code in (("certify", 1), ("flatten", 0), ("distance", 0)):
+        res = run_cli(cmd, "-i", str(path))
+        assert (res.returncode, res.stderr) == (code, ""), cmd
+        json.loads(res.stdout)
+    res = run_cli("witness", "-i", str(path))
+    assert res.returncode == 2
+    assert res.stderr == "error: generator matrix is not full row rank\n"
+
+
 def test_distance_int64_overflow_exit_2(tmp_path):
     from mdconv.codes import CodeDescriptor
     from mdconv.galois import make_field

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdconv.galois import make_field
-from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
+from mdconv.multipoly import NEG_INF, Polynomial, PolyMatrix, monomials_upto
 from mdconv.superreg import ConstMatrix, cauchy_matrix, is_superregular
 from mdconv.codes import (
     CERTIFIED_MDS,
@@ -160,11 +160,9 @@ def descending_lift_cases(draw):
 def test_lift_then_flatten_is_identity(case):
     S, m, plan = case
     G = phi_lift(S, m, plan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        # The round trip only holds when each row attains its planned degree.
-        assume(list(G.row_degrees()) == [d for b, d in plan for _ in range(b)])
-        assert phi_flatten(G).matrix == S
+    # The round trip only holds when each row attains its planned degree.
+    assume(list(G.row_degrees()) == [d for b, d in plan for _ in range(b)])
+    assert phi_flatten(G).matrix == S
 
 
 def test_flatten_then_lift_is_identity_on_full_support_closure():
@@ -362,8 +360,11 @@ def _cauchy(F, r, s):
 def _zero_row_code():
     one, two = Polynomial.constant(F5, 1, 1), Polynomial.constant(F5, 1, 2)
     G = PolyMatrix(F5, 1, [[one, two], [Polynomial.zero(F5, 1)] * 2])
-    with pytest.warns(UserWarning):
-        return CodeDescriptor.from_generator(G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = CodeDescriptor.from_generator(G)
+    assert code.declared_row_degrees == (0, NEG_INF)
+    return code
 
 
 # One small code per certificate outcome, with the exact certificate JSON
@@ -427,10 +428,7 @@ def codes_and_column_permutations(draw):
     else:
         entry = st.integers(0, F.q - 1)
         entries = [[draw(entry) for _ in range(n)] for _ in range(rows)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = _lifted(F, m, profile, entries)
-    return code, draw(st.permutations(range(n)))
+    return _lifted(F, m, profile, entries), draw(st.permutations(range(n)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -444,9 +442,7 @@ def test_certify_invariant_under_column_permutation(case):
     code, perm = case
     G = code.generator
     Gp = PolyMatrix(G.field, G.m, [[row[j] for j in perm] for row in G.entries])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        permuted = certify(CodeDescriptor.from_generator(Gp))
+    permuted = certify(CodeDescriptor.from_generator(Gp))
     cert = certify(code)
     if cert.verdict == CERTIFIED_MDS:
         assert permuted.to_json() == cert.to_json()

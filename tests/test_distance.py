@@ -10,6 +10,7 @@ from mdconv.galois import make_field
 from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
 from mdconv.codes import construct_mds_rate_1n
 from mdconv.superreg import ConstMatrix
+import mdconv.distance as distance
 from mdconv.distance import (
     _Enumerator,
     codeword_weight_profile,
@@ -174,7 +175,7 @@ def test_normalized_enumeration_matches_full_enumeration():
         cases += 1
 
 
-def test_extension_field_scalar_path():
+def test_extension_field_gf4_matches_brute_force():
     F4 = make_field(2, 2)
     G = PolyMatrix(F4, 1, [[
         Polynomial(F4, 1, {(0,): 1, (1,): 2}),
@@ -214,10 +215,18 @@ def test_extension_field_kernel_matches_brute_force(p, e, m):
                 assert rep.messages_tried == oracle_count
 
 
-def test_stop_below_reports_first_message_below_for_any_batch_size():
+def _batch_elements(G, cap, rows):
+    """A `_BATCH_ELEMENTS` value giving `rows` rows per batch for (G, cap)."""
+    enum = _Enumerator(G, cap, True, None)
+    return rows * enum.n * enum.T * enum.F.e
+
+
+def test_stop_below_reports_first_message_below_for_any_batch_size(monkeypatch):
     code, _ = construct_mds_rate_1n(F7, 1, 3, 2)
-    for batch_size in (1, 7, 1 << 16):
-        rep = free_distance_estimate(code.generator, 3, stop_below=100, batch_size=batch_size)
+    for elements in (_batch_elements(code.generator, 3, 1), _batch_elements(code.generator, 3, 7),
+                     distance._BATCH_ELEMENTS):
+        monkeypatch.setattr(distance, "_BATCH_ELEMENTS", elements)
+        rep = free_distance_estimate(code.generator, 3, stop_below=100)
         assert rep.below_bound
         assert rep.messages_tried == 1
         assert rep.witness_message.entries[0][0] == Polynomial.constant(F7, 1, 1)
@@ -225,27 +234,27 @@ def test_stop_below_reports_first_message_below_for_any_batch_size():
 
 
 def test_stop_below_ends_the_search(monkeypatch):
-    # Without normalization the first message of every stratum is a single
-    # monomial, of weight 9 < 10, so every stratum that runs stops at once.
+    # Without normalization the first message is a single monomial, of
+    # weight 9 < 10, so the first batch stops the search.
     code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
     calls = []
-    scan = _Enumerator.scan_stratum
+    scan = _Enumerator.scan
 
-    def counting(self, p0, *args):
-        calls.append(p0)
-        return scan(self, p0, *args)
+    def counting(self, batch):
+        calls.append(batch)
+        return scan(self, batch)
 
-    monkeypatch.setattr(_Enumerator, "scan_stratum", counting)
+    monkeypatch.setattr(_Enumerator, "scan", counting)
     reports = []
     for workers in (1, 2):
         calls.clear()
         reports.append(free_distance_estimate(
             code.generator, 2, stop_below=10, workers=workers, normalize=False))
         if workers == 1:
-            assert calls == [0]
+            assert len(calls) == 1
         else:
-            # A stratum is taken only after stratum 0 or 1 has stopped.
-            assert 0 in calls and set(calls) <= {0, 1}
+            # Only the first window was handed to the pool.
+            assert 1 <= len(calls) <= distance._WINDOW
     assert reports[0] == reports[1]
     assert reports[0].messages_tried == 1 and reports[0].below_bound
 
@@ -284,11 +293,18 @@ def small_codes(draw):
 @given(small_codes(), st.one_of(st.none(), st.integers(1, 10)), st.booleans())
 def test_report_independent_of_workers_and_batch_size(code, stop_below, normalize):
     G, cap = code
-    reports = [
-        free_distance_estimate(G, cap, stop_below=stop_below, workers=workers,
-                               normalize=normalize, batch_size=batch_size)
-        for workers in (1, 2) for batch_size in (1, 7, 1 << 16)
-    ]
+    reports = []
+    for elements in (_batch_elements(G, cap, 1), _batch_elements(G, cap, 7),
+                     distance._BATCH_ELEMENTS):
+        for window in (1, distance._WINDOW):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(distance, "_BATCH_ELEMENTS", elements)
+                mp.setattr(distance, "_WINDOW", window)
+                reports += [
+                    free_distance_estimate(G, cap, stop_below=stop_below, workers=workers,
+                                           normalize=normalize)
+                    for workers in (1, 2, 3)
+                ]
     assert all(r == reports[0] for r in reports)
     rep = reports[0]
     assert (rep.witness_message @ G).weight() == rep.min_weight_found
