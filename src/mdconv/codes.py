@@ -14,6 +14,11 @@ superregular.  The three construction theorems RATE_1N (k = 1), STAIRCASE_KN
 (k - 1 rows of degree nu + 1 over one of degree nu) and MD_STAIRCASE_BOUND
 (any other such profile) are labels of this rule; they differ only in how a
 certificate names its hypotheses.
+
+A construction lifts a candidate source matrix into one row per degree of
+its profile.  When the lift has that profile its flattening is the source
+itself, so the construction's certificate is its only superregularity check:
+a source is never scanned before it is lifted.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
-from .galois import FiniteField
+from .galois import FiniteField, json_int
 from .multipoly import (
     NEG_INF,
     ExponentVector,
@@ -31,7 +36,7 @@ from .multipoly import (
     monomials_upto,
 )
 from . import superreg
-from .superreg import ConstMatrix, cauchy_matrix, is_superregular, random_superregular
+from .superreg import ConstMatrix, cauchy_matrix, is_superregular, random_matrices
 
 RATE_1N = "RATE_1N"
 STAIRCASE_KN = "STAIRCASE_KN"
@@ -119,9 +124,8 @@ class CodeDescriptor:
     @staticmethod
     def from_json(obj: dict) -> "CodeDescriptor":
         F = FiniteField.from_json(obj["field"])
-        m = int(obj["m"])
-        G = PolyMatrix.from_json(obj["generator"], F, m)
-        return CodeDescriptor(F, m, int(obj["k"]), int(obj["n"]), G)
+        m, k, n = (json_int(obj[key]) for key in ("m", "k", "n"))
+        return CodeDescriptor(F, m, k, n, PolyMatrix.from_json(obj["generator"], F, m))
 
 
 @dataclass(frozen=True)
@@ -299,30 +303,6 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
 Source = Union[str, ConstMatrix]
 
 
-def _superregular_source(
-    F: FiniteField, rows: int, cols: int, source: Source, seed: int, max_tries: int
-) -> ConstMatrix:
-    if isinstance(source, ConstMatrix):
-        if (source.rows, source.cols) != (rows, cols):
-            raise ValueError(
-                f"explicit matrix is {source.rows}x{source.cols}, need {rows}x{cols}"
-            )
-        if not is_superregular(source).verdict:
-            raise ConstructionError("explicit source matrix is not superregular")
-        return source
-    if source == "cauchy":
-        if F.q < rows + cols:
-            raise FieldTooSmallError(
-                f"Cauchy source needs q >= {rows + cols}, field has q = {F.q}"
-            )
-        xs = list(range(rows))
-        ys = list(range(rows, rows + cols))
-        return cauchy_matrix(F, xs, ys)
-    if source == "random":
-        return random_superregular(F, rows, cols, seed=seed, max_tries=max_tries)
-    raise ValueError(f"unknown source {source!r}")
-
-
 def _construct(
     F: FiniteField,
     m: int,
@@ -332,15 +312,31 @@ def _construct(
     seed: int,
     max_tries: int,
 ) -> tuple[CodeDescriptor, MdsCertificate]:
-    """Lift a superregular source into one row per degree of `profile` and
-    certify the result."""
+    """Lift each candidate source into one row per degree of `profile` and
+    return the first lift of that profile that `certify` passes."""
     rows = sum(support_count(d, m) for d in profile)
-    S = _superregular_source(F, rows, n, source, seed, max_tries)
-    code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))
-    cert = certify(code)
-    if cert.verdict != CERTIFIED_MDS:
-        raise ConstructionError("construction failed its own certificate")
-    return code, cert
+    if isinstance(source, ConstMatrix):
+        if (source.rows, source.cols) != (rows, n):
+            raise ValueError(f"explicit matrix is {source.rows}x{source.cols}, need {rows}x{n}")
+        candidates = [source]
+    elif source == "cauchy":
+        if F.q < rows + n:
+            raise FieldTooSmallError(f"Cauchy source needs q >= {rows + n}, field has q = {F.q}")
+        candidates = [cauchy_matrix(F, list(range(rows)), list(range(rows, rows + n)))]
+    elif source == "random":
+        candidates = random_matrices(F, rows, n, seed, max_tries)
+    else:
+        raise ValueError(f"unknown source {source!r}")
+    for S in candidates:
+        G = phi_lift(S, m, [(1, d) for d in profile])
+        # A zero top-degree slice lowers a row's degree, and the lower-degree
+        # code could still certify; only a lift of `profile` flattens to S.
+        if G.row_degrees() == profile:
+            code = CodeDescriptor.from_generator(G)
+            cert = certify(code)
+            if cert.verdict == CERTIFIED_MDS:
+                return code, cert
+    raise ConstructionError("source matrix is not superregular")
 
 
 def construct_mds_rate_1n(

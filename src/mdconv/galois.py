@@ -29,6 +29,14 @@ class GaloisError(ValueError):
     """Invalid field construction or field operation."""
 
 
+def json_int(x) -> int:
+    """An integer read from JSON.  Floats, strings and booleans are refused
+    rather than truncated or converted."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 # Miller-Rabin with these bases is exact for n < 3.18e23 (Sorenson-Webster
 # 2015), far above the 2^62 field-size limit of `make_field`.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -215,8 +223,9 @@ class FiniteField:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteField":
-        F = make_field(int(obj["p"]), int(obj.get("e", 1)))
-        if "irreducible" in obj and list(F.irreducible or []) != list(obj["irreducible"]):
+        F = make_field(json_int(obj["p"]), json_int(obj.get("e", 1)))
+        irreducible = [json_int(c) for c in obj.get("irreducible", F.irreducible or [])]
+        if list(F.irreducible or []) != irreducible:
             raise GaloisError("irreducible polynomial does not match the canonical choice")
         return F
 

@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .galois import FiniteField, GaloisError
+from .galois import FiniteField, GaloisError, json_int
 
 #: Degree of the zero polynomial.  A distinguished non-integer marker that
 #: still compares below every real degree.
@@ -181,7 +181,9 @@ class Polynomial:
 
     @staticmethod
     def from_json(obj: Iterable, field: FiniteField, m: int) -> "Polynomial":
-        return Polynomial(field, m, {tuple(a): int(c) for a, c in obj})
+        return Polynomial(
+            field, m, {tuple(json_int(x) for x in a): json_int(c) for a, c in obj}
+        )
 
 
 class PolyMatrix:

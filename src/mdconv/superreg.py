@@ -1,8 +1,9 @@
 """Constant-matrix linear algebra over GF(q).
 
 Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
-generation and seeded random search.  One Gaussian elimination routine,
-`_echelon`, serves the determinant, rank, nullspace and the minor scan.
+generation, and a seeded stream of random candidate matrices.  One Gaussian
+elimination routine, `_echelon`, serves the determinant, rank, nullspace and
+the minor scan.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .galois import FiniteField, GaloisError
+from .galois import FiniteField, GaloisError, json_int
 
 
 class SearchExhaustedError(RuntimeError):
@@ -58,7 +59,7 @@ class ConstMatrix:
     @staticmethod
     def from_json(obj: dict) -> "ConstMatrix":
         F = FiniteField.from_json(obj["field"])
-        return ConstMatrix(F, tuple(tuple(int(x) for x in row) for row in obj["entries"]))
+        return ConstMatrix(F, tuple(tuple(json_int(x) for x in row) for row in obj["entries"]))
 
 
 @dataclass(frozen=True)
@@ -148,26 +149,33 @@ def cauchy_matrix(F: FiniteField, xs: Sequence[int], ys: Sequence[int]) -> Const
     )
 
 
-def random_superregular(
+def random_matrices(
     F: FiniteField, r: int, s: int, seed: int = 0, max_tries: int = 10_000
-) -> ConstMatrix:
-    """Seeded search over matrices with uniformly random nonzero entries.
+) -> Iterator[ConstMatrix]:
+    """Seeded stream of r x s matrices with uniformly random nonzero entries.
 
-    Returns the first candidate passing `is_superregular`.  Identical seed
-    gives an identical result.  Raises SearchExhaustedError after max_tries.
+    Identical seed gives an identical stream.  Raises SearchExhaustedError
+    when asked for one more than max_tries matrices.
     """
     if r < 1 or s < 1:
         raise ValueError("matrix shape must be at least 1x1")
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     rng = random.Random(seed)
     for _ in range(max_tries):
-        A = ConstMatrix(
+        yield ConstMatrix(
             F, tuple(tuple(rng.randrange(1, F.q) for _ in range(s)) for _ in range(r))
         )
-        if is_superregular(A).verdict:
-            return A
     raise SearchExhaustedError(
         f"no superregular {r}x{s} matrix over GF({F.q}) in {max_tries} tries"
     )
+
+
+def random_superregular(
+    F: FiniteField, r: int, s: int, seed: int = 0, max_tries: int = 10_000
+) -> ConstMatrix:
+    """The first matrix of `random_matrices` that passes `is_superregular`."""
+    return next(A for A in random_matrices(F, r, s, seed, max_tries) if is_superregular(A).verdict)
 
 
 def rank(A: ConstMatrix) -> int:

@@ -163,6 +163,39 @@ def test_certify_k_above_n_not_certified_exit_1(tmp_path):
                                      "detail": "n = 1, k(nu+2) - 1 = 3"}
 
 
+def test_construct_max_tries_below_one_exit_2():
+    for cmd, dims in [("construct", ("--m", "1", "--n", "2", "--delta", "1")),
+                      ("construct-staircase", ("--m", "1", "--k", "2", "--n", "3", "--nu", "0"))]:
+        res = run_cli(cmd, "--p", "7", *dims, "--source", "random", "--max-tries", "-3")
+        assert res.returncode == 2
+        assert res.stderr == "error: max_tries must be at least 1, got -3\n"
+
+
+def test_json_non_integers_exit_2(tmp_path):
+    mat = tmp_path / "mat.json"
+    mat.write_text(json.dumps({"field": {"p": 5, "e": 1}, "entries": [[1.9, "2"], [True, 4]]}))
+    res = run_cli("check-sr", "-i", str(mat))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "expected an integer, got 1.9" in res.stderr
+
+    out = tmp_path / "code.json"
+    assert run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1",
+                   "-o", str(out)).returncode == 0
+    code = json.loads(out.read_text())
+    bad_coeff = json.loads(out.read_text())
+    bad_coeff["generator"][0][0][0][1] = 2.7
+    for bad in [bad_coeff, {**code, "m": "1"}]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        res = run_cli("certify", "-i", str(path))
+        assert (res.returncode, res.stdout) == (2, "")
+        assert "expected an integer" in res.stderr
+
+    res = run_cli("encode", "-i", str(out), "--message", "[[[[0], 1.5]]]")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert "expected an integer, got 1.5" in res.stderr
+
+
 def test_missing_input_exit_2():
     res = run_cli("certify", "-i", "/nonexistent/code.json")
     assert res.returncode == 2

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 import warnings
@@ -8,7 +9,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mdconv.galois import make_field
 from mdconv.multipoly import NEG_INF, Polynomial, PolyMatrix, monomials_upto
-from mdconv.superreg import ConstMatrix, cauchy_matrix, is_superregular
+from mdconv import codes, superreg
+from mdconv.superreg import (
+    ConstMatrix,
+    SearchExhaustedError,
+    cauchy_matrix,
+    is_superregular,
+    random_matrices,
+    random_superregular,
+)
 from mdconv.codes import (
     CERTIFIED_MDS,
     MD_STAIRCASE_BOUND,
@@ -285,6 +294,101 @@ def test_construct_staircase_length_precondition():
         construct_mds_staircase(F17, 2, 2, 4, 1)  # needs n >= 5
 
 
+@pytest.mark.parametrize("entries", [((1, 2), (0, 0)), ((1, 2), (2, 4))])
+def test_construct_rejects_explicit_source_that_is_not_superregular(entries):
+    # ((1, 2), (0, 0)) lifts to a degree-0 row whose own flattening is
+    # superregular; ((1, 2), (2, 4)) has a zero 2x2 minor.
+    with pytest.raises(ConstructionError, match="not superregular"):
+        construct_mds_rate_1n(F5, 1, 2, 1, source=ConstMatrix(F5, entries))
+
+
+@pytest.mark.parametrize("construct", [
+    lambda **kw: construct_mds_rate_1n(F7, 1, 2, 1, **kw),
+    lambda **kw: construct_mds_staircase(F7, 1, 2, 3, 0, **kw),
+], ids=["rate_1n", "staircase"])
+@pytest.mark.parametrize("max_tries", [0, -3])
+def test_construct_rejects_max_tries_below_one(construct, max_tries):
+    with pytest.raises(ValueError, match="max_tries"):
+        construct(source="random", max_tries=max_tries)
+
+
+def _scanned_matrices(monkeypatch):
+    """Record every matrix handed to `is_superregular`, by either module."""
+    scanned = []
+
+    def counting(A):
+        scanned.append(A.entries)
+        return is_superregular(A)
+
+    monkeypatch.setattr(codes, "is_superregular", counting)
+    monkeypatch.setattr(superreg, "is_superregular", counting)
+    return scanned
+
+
+@pytest.mark.parametrize("source", [
+    "cauchy", ConstMatrix(F5, ((1, 1), (1, 2))), cauchy_matrix(F7, [0, 1], [2, 3]),
+])
+def test_explicit_and_cauchy_sources_are_scanned_once(monkeypatch, source):
+    F = source.field if isinstance(source, ConstMatrix) else F7
+    scanned = _scanned_matrices(monkeypatch)
+    code, cert = construct_mds_rate_1n(F, 1, 2, 1, source=source)
+    assert cert.verdict == CERTIFIED_MDS
+    assert scanned == [phi_flatten(code.generator).matrix.entries]
+
+
+@pytest.mark.parametrize("F, seed", [(F7, 2), (F7, 5), (F11, 0), (make_field(3, 2), 1)])
+def test_random_source_scans_each_try_once(monkeypatch, F, seed):
+    stream = random_matrices(F, 3, 3, seed)
+    tries = 1 + next(i for i, A in enumerate(stream) if is_superregular(A).verdict)
+    scanned = _scanned_matrices(monkeypatch)
+    code, _ = construct_mds_staircase(F, 1, 2, 3, 0, source="random", seed=seed)
+    losers = itertools.islice(random_matrices(F, 3, 3, seed), tries - 1)
+    assert scanned == [A.entries for A in losers] + [phi_flatten(code.generator).matrix.entries]
+
+
+ORACLE_FIELDS = [make_field(*pe) for pe in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]]
+
+
+@st.composite
+def random_construction_cases(draw):
+    F = draw(st.sampled_from(ORACLE_FIELDS))
+    m = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        delta = draw(st.integers(0, 1))
+        n = draw(st.integers(delta + 1, delta + 2))
+        build, dims, profile = construct_mds_rate_1n, (n, delta), [delta]
+    else:
+        nu = draw(st.integers(0, 1 if m == 1 else 0))
+        n = draw(st.integers(2 * nu + 3, 2 * nu + 4))
+        build, dims, profile = construct_mds_staircase, (2, n, nu), [nu + 1, nu]
+    return F, m, n, build, dims, profile, draw(st.integers(0, 2**31)), draw(st.integers(1, 40))
+
+
+def _oracle_construct(F, m, profile, n, seed, max_tries):
+    """The pre-scan path: pick a superregular source, then lift and certify."""
+    rows = sum(support_count(d, m) for d in profile)
+    S = random_superregular(F, rows, n, seed=seed, max_tries=max_tries)
+    code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))
+    return code, certify(code)
+
+
+def _outcome(call):
+    try:
+        code, cert = call()
+    except (SearchExhaustedError, ConstructionError) as exc:
+        return type(exc), str(exc)
+    return code.to_json(), cert.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_construction_cases())
+def test_random_construction_matches_prescan_oracle(case):
+    F, m, n, build, dims, profile, seed, max_tries = case
+    got = _outcome(lambda: build(F, m, *dims, source="random", seed=seed, max_tries=max_tries))
+    want = _outcome(lambda: _oracle_construct(F, m, profile, n, seed, max_tries))
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -523,6 +627,13 @@ def test_witness_weight_never_exceeds_bound():
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("key, bad", [("m", "2"), ("k", 1.0), ("n", True)])
+def test_code_descriptor_from_json_rejects_non_integers(key, bad):
+    code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
+    with pytest.raises(ValueError, match="expected an integer"):
+        CodeDescriptor.from_json({**code.to_json(), key: bad})
+
 
 def test_code_descriptor_validates_and_round_trips():
     code, _ = construct_mds_rate_1n(F7, 2, 3, 1)

@@ -219,3 +219,12 @@ def test_json_round_trip():
     for p, e in [(7, 1), (2, 3), (3, 2)]:
         F = make_field(p, e)
         assert FiniteField.from_json(F.to_json()) == F
+
+
+@pytest.mark.parametrize("obj", [
+    {"p": 5.0}, {"p": "5"}, {"p": 5, "e": 1.0}, {"p": 5, "e": True},
+    {"p": 2, "e": 2, "irreducible": [1, True, 1]},
+])
+def test_from_json_rejects_non_integers(obj):
+    with pytest.raises(ValueError, match="expected an integer"):
+        FiniteField.from_json(obj)

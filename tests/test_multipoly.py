@@ -258,3 +258,14 @@ def test_json_round_trip():
     assert Polynomial.from_json(f.to_json(), F7, 2) == f
     G = worked_example_matrix()
     assert PolyMatrix.from_json(G.to_json(), F2, 2) == G
+
+
+@pytest.mark.parametrize("terms", [
+    [[[0, 1], 2.7]], [[[0, 1], "2"]], [[[0, 1], True]],
+    [[[1.0, 0], 2]], [[["1", 0], 2]], [[[False, 1], 2]],
+])
+def test_polynomial_from_json_rejects_non_integers(terms):
+    with pytest.raises(ValueError, match="expected an integer"):
+        Polynomial.from_json(terms, F7, 2)
+    with pytest.raises(ValueError, match="expected an integer"):
+        PolyMatrix.from_json([[terms]], F7, 2)

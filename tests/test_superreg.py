@@ -1,3 +1,4 @@
+import itertools
 import random
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ from mdconv.superreg import (
     left_nullspace,
     mat_vec,
     nullspace,
+    random_matrices,
     random_superregular,
     rank,
     vec_mat,
@@ -105,6 +107,27 @@ def test_random_superregular_deterministic():
     b = random_superregular(F7, 3, 3, seed=1)
     assert a == b
     assert is_superregular(a).verdict
+
+
+def test_random_matrices_stream_is_seeded_and_bounded():
+    stream = random_matrices(F7, 2, 3, seed=4, max_tries=3)
+    drawn = [next(stream) for _ in range(3)]
+    assert drawn == list(itertools.islice(random_matrices(F7, 2, 3, seed=4), 3))
+    assert all(x != 0 for A in drawn for row in A.entries for x in row)
+    with pytest.raises(SearchExhaustedError, match=r"no superregular 2x3 matrix over GF\(7\) in 3 tries"):
+        next(stream)
+
+
+def test_random_superregular_is_first_superregular_matrix_of_the_stream():
+    for F, seed in [(F5, 0), (F7, 1), (F9, 3)]:
+        A = random_superregular(F, 2, 3, seed=seed)
+        assert A == next(B for B in random_matrices(F, 2, 3, seed) if is_superregular(B).verdict)
+
+
+@pytest.mark.parametrize("max_tries", [0, -3])
+def test_random_search_rejects_max_tries_below_one(max_tries):
+    with pytest.raises(ValueError, match="max_tries"):
+        random_superregular(F7, 2, 2, max_tries=max_tries)
 
 
 def test_nullspace_examples():
@@ -213,3 +236,9 @@ def test_superregular_iff_systematic_code_is_mds(A):
 def test_json_round_trip():
     A = cauchy_matrix(F7, [0, 1], [2, 3, 4])
     assert ConstMatrix.from_json(A.to_json()) == A
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, "2", True])
+def test_from_json_rejects_non_integer_entries(bad):
+    with pytest.raises(ValueError, match="expected an integer"):
+        ConstMatrix.from_json({"field": {"p": 5, "e": 1}, "entries": [[bad, 2], [3, 4]]})
