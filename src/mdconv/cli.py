@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .galois import GaloisError, make_field
+from .galois import make_field
 from .multipoly import PolyMatrix, Polynomial
 from .superreg import ConstMatrix, SearchExhaustedError, is_superregular
 from .codes import (
@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     except (SearchExhaustedError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (GaloisError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -209,15 +209,10 @@ def phi_lift(
     for block_rows, d in row_plan:
         exps = monomials_upto(d, m)
         for _ in range(block_rows):
-            polys = []
-            for c in range(S.cols):
-                terms = {
-                    alpha: S.entries[pos + t][c]
-                    for t, alpha in enumerate(exps)
-                    if S.entries[pos + t][c] != 0
-                }
-                polys.append(Polynomial(F, m, terms))
-            out_rows.append(polys)
+            out_rows.append([
+                Polynomial(F, m, {alpha: S.entries[pos + t][c] for t, alpha in enumerate(exps)})
+                for c in range(S.cols)
+            ])
             pos += len(exps)
     return PolyMatrix(F, m, out_rows)
 
@@ -420,8 +415,6 @@ def singleton_witness(code: CodeDescriptor) -> tuple[PolyMatrix, PolyMatrix, int
     coeffs = [0] * k
     for r, c in zip(block, u_tilde):
         coeffs[r] = c
-    message = PolyMatrix(
-        F, m, [[Polynomial.constant(F, m, c) if c else Polynomial.zero(F, m) for c in coeffs]]
-    )
+    message = PolyMatrix(F, m, [[Polynomial.constant(F, m, c) for c in coeffs]])
     codeword = message @ G
     return message, codeword, codeword.weight()

@@ -133,14 +133,12 @@ class _Enumerator:
         ]
 
     def message_from_vector(self, c) -> PolyMatrix:
-        polys = []
-        for j in range(self.k):
-            terms = {}
-            for a, alpha in enumerate(self.monomials):
-                cf = int(c[j * self.s + a])
-                if cf:
-                    terms[alpha] = cf
-            polys.append(Polynomial(self.F, self.m, terms))
+        polys = [
+            Polynomial(self.F, self.m, {
+                alpha: int(c[j * self.s + a]) for a, alpha in enumerate(self.monomials)
+            })
+            for j in range(self.k)
+        ]
         return PolyMatrix(self.F, self.m, [polys])
 
     def weights(self, C):

@@ -146,7 +146,7 @@ class FiniteField:
         return acc
 
     def check(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:
             raise GaloisError(f"{a!r} is not an element code of GF({self.q})")
         return a
 

@@ -1,16 +1,16 @@
 """Sparse multivariate polynomials over GF(q), and matrices of them.
 
-A polynomial in m variables is a map from exponent tuples (a_1, ..., a_m)
-to nonzero field element codes.  The canonical term order used everywhere
-(iteration, serialization, flattening) is ascending lexicographic on the
-reversed exponent tuple (a_m, ..., a_1), i.e. recursion on the last
-variable first.
+A polynomial in m variables maps exponent tuples (a_1, ..., a_m) to
+nonzero field element codes.  `Polynomial` and `PolyMatrix` are frozen
+dataclasses, and the `Polynomial` constructor is the one place that drops
+zero coefficients.  The canonical term order (`sorted_terms`, serialization,
+flattening) is ascending lexicographic on the reversed exponent tuple
+(a_m, ..., a_1), i.e. recursion on the last variable first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -37,28 +37,27 @@ def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
     return exps
 
 
+@dataclass(frozen=True, slots=True)
 class Polynomial:
-    """Immutable sparse polynomial over a finite field."""
+    """Immutable sparse polynomial over a finite field.  Arithmetic may hand
+    the constructor zero sums: it drops them."""
 
-    __slots__ = ("field", "m", "terms")
+    field: FiniteField
+    m: int
+    terms: dict[ExponentVector, int] | None = None
 
-    def __init__(self, field: FiniteField, m: int, terms: dict[ExponentVector, int] | None = None):
+    def __post_init__(self):
+        m, field = self.m, self.field
         if m < 1:
             raise ValueError(f"number of variables must be >= 1, got {m}")
         clean = {}
-        for alpha, c in (terms or {}).items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != m or any(a < 0 for a in alpha):
+        for alpha, c in (self.terms or {}).items():
+            alpha = tuple(map(json_int, alpha))
+            if len(alpha) != m or min(alpha) < 0:
                 raise ValueError(f"bad exponent vector {alpha} for m={m}")
-            field.check(c)
-            if c != 0:
+            if field.check(c) != 0:
                 clean[alpha] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -106,11 +105,7 @@ class Polynomial:
         F = self.field
         terms = dict(self.terms)
         for alpha, c in other.terms.items():
-            s = F.add(terms.get(alpha, 0), c)
-            if s == 0:
-                terms.pop(alpha, None)
-            else:
-                terms[alpha] = s
+            terms[alpha] = F.add(terms.get(alpha, 0), c)
         return Polynomial(F, self.m, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -127,11 +122,7 @@ class Polynomial:
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 g = tuple(x + y for x, y in zip(a, b))
-                s = F.add(terms.get(g, 0), F.mul(ca, cb))
-                if s == 0:
-                    terms.pop(g, None)
-                else:
-                    terms[g] = s
+                terms[g] = F.add(terms.get(g, 0), F.mul(ca, cb))
         return Polynomial(F, self.m, terms)
 
     def scale(self, c: int) -> "Polynomial":
@@ -147,14 +138,6 @@ class Polynomial:
         )
 
     # -- protocol --------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.field == other.field
-            and self.m == other.m
-            and self.terms == other.terms
-        )
 
     def __hash__(self) -> int:
         return hash((self.field, self.m, tuple(self.sorted_terms())))
@@ -181,35 +164,37 @@ class Polynomial:
 
     @staticmethod
     def from_json(obj: Iterable, field: FiniteField, m: int) -> "Polynomial":
-        return Polynomial(
-            field, m, {tuple(json_int(x) for x in a): json_int(c) for a, c in obj}
-        )
+        return Polynomial(field, m, {tuple(a): json_int(c) for a, c in obj})
 
 
+@dataclass(frozen=True, slots=True)
 class PolyMatrix:
     """Immutable k x n matrix of polynomials sharing one field and m."""
 
-    __slots__ = ("field", "m", "rows", "cols", "entries")
+    field: FiniteField
+    m: int
+    entries: Sequence[Sequence[Polynomial]]
 
-    def __init__(self, field: FiniteField, m: int, entries: Sequence[Sequence[Polynomial]]):
-        entries = tuple(tuple(row) for row in entries)
+    def __post_init__(self):
+        field, m = self.field, self.m
+        entries = tuple(tuple(row) for row in self.entries)
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
-        ncols = len(entries[0])
         for row in entries:
-            if len(row) != ncols:
+            if len(row) != len(entries[0]):
                 raise ValueError("ragged matrix")
             for p in row:
                 if p.field != field or p.m != m:
                     raise GaloisError("matrix entry from a different ring")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", len(entries))
-        object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", entries)
 
-    def __setattr__(self, *args):
-        raise AttributeError("PolyMatrix is immutable")
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0])
 
     @staticmethod
     def identity(field: FiniteField, m: int, k: int) -> "PolyMatrix":
@@ -219,12 +204,6 @@ class PolyMatrix:
 
     def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
         return self.entries[idx[0]][idx[1]]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
 
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(map(repr, row)) + "]" for row in self.entries)
@@ -247,34 +226,33 @@ class PolyMatrix:
     def determinant(self) -> Polynomial:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        return _det_cofactor(self, tuple(range(self.rows)), tuple(range(self.cols)), {})
+        return _det_cofactor(self, tuple(range(self.cols)), {})
 
     def full_size_minors(self) -> list[tuple[tuple[int, ...], Polynomial]]:
         """All C(n, k) maximal minors, paired with their column subsets."""
+        return list(self._minors())
+
+    def _minors(self):
+        """The maximal minors in lex order of column subset, one at a time."""
         if self.rows > self.cols:
             raise ValueError("full-size minors need rows <= cols")
         memo: dict = {}
-        all_rows = tuple(range(self.rows))
-        return [
-            (cols, _det_cofactor(self, all_rows, cols, memo))
-            for cols in combinations(range(self.cols), self.rows)
-        ]
+        for cols in combinations(range(self.cols), self.rows):
+            yield cols, _det_cofactor(self, cols, memo)
 
     def internal_degree(self):
         """Max total degree among the full-size minors."""
-        return max(minor.total_degree() for _, minor in self.full_size_minors())
+        return max(minor.total_degree() for _, minor in self._minors())
 
     def is_unimodular(self) -> bool:
         """True iff square with determinant a nonzero field constant."""
         if self.rows != self.cols:
             raise ValueError("unimodularity is defined for square matrices")
-        d = self.determinant()
-        return d.total_degree() == 0
+        return self.determinant().total_degree() == 0
 
     def has_full_row_rank(self) -> bool:
-        if self.rows > self.cols:
-            return False
-        return any(not minor.is_zero() for _, minor in self.full_size_minors())
+        """True iff some maximal minor is nonzero; stops at the first one."""
+        return self.rows <= self.cols and any(not d.is_zero() for _, d in self._minors())
 
     # -- algebra ---------------------------------------------------------
 
@@ -285,13 +263,9 @@ class PolyMatrix:
             raise GaloisError("matrices over different rings")
         zero = Polynomial.zero(self.field, self.m)
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             out.append([
-                reduce(
-                    lambda a, b: a + b,
-                    (self.entries[i][t] * other.entries[t][j] for t in range(self.cols)),
-                    zero,
-                )
+                sum((a * other.entries[t][j] for t, a in enumerate(row)), zero)
                 for j in range(other.cols)
             ])
         return PolyMatrix(self.field, self.m, out)
@@ -309,31 +283,23 @@ class PolyMatrix:
         )
 
 
-def _det_cofactor(
-    M: PolyMatrix,
-    rows: tuple[int, ...],
-    cols: tuple[int, ...],
-    memo: dict,
-) -> Polynomial:
-    """Cofactor expansion along the first listed row, memoized on the
-    surviving column subset (row depth is implied by subset size)."""
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    if len(rows) == 1:
-        return M.entries[rows[0]][cols[0]]
-    F, m = M.field, M.m
-    acc = Polynomial.zero(F, m)
-    r = rows[0]
-    rest = rows[1:]
+def _det_cofactor(M: PolyMatrix, cols: tuple[int, ...], memo: dict) -> Polynomial:
+    """Determinant of the last len(cols) rows of M restricted to `cols`, by
+    cofactor expansion along the first of those rows, memoized on `cols`
+    (the rows are implied by its size)."""
+    if cols in memo:
+        return memo[cols]
+    r = len(M.entries) - len(cols)
+    if len(cols) == 1:
+        return M.entries[r][cols[0]]
+    acc = Polynomial.zero(M.field, M.m)
     for j, c in enumerate(cols):
         entry = M.entries[r][c]
         if entry.is_zero():
             continue
-        sub = _det_cofactor(M, rest, cols[:j] + cols[j + 1:], memo)
-        term = entry * sub
+        term = entry * _det_cofactor(M, cols[:j] + cols[j + 1:], memo)
         acc = acc + (term if j % 2 == 0 else -term)
-    memo[key] = acc
+    memo[cols] = acc
     return acc
 
 

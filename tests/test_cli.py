@@ -196,6 +196,23 @@ def test_json_non_integers_exit_2(tmp_path):
     assert "expected an integer, got 1.5" in res.stderr
 
 
+def test_json_wrong_shape_exit_2(tmp_path):
+    # JSON that parses but has the wrong structure is a usage error, not a
+    # failed property: one `error:` line, no traceback, nothing on stdout.
+    code = tmp_path / "code.json"
+    assert run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1",
+                   "-o", str(code)).returncode == 0
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"field": {"p": 5}, "entries": 5}))
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for args in [("check-sr", "-i", str(matrix)), ("certify", "-i", str(listed)),
+                 ("encode", "-i", str(code), "--message", "5")]:
+        res = run_cli(*args)
+        assert (res.returncode, res.stdout) == (2, ""), res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
 def test_missing_input_exit_2():
     res = run_cli("certify", "-i", "/nonexistent/code.json")
     assert res.returncode == 2

@@ -1,8 +1,9 @@
 import random
 import warnings
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdconv.galois import GaloisError, make_field
 from mdconv.multipoly import (
@@ -13,6 +14,7 @@ from mdconv.multipoly import (
     term_key,
     weight,
 )
+from mdconv.superreg import ConstMatrix, det
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -262,10 +264,125 @@ def test_json_round_trip():
 
 @pytest.mark.parametrize("terms", [
     [[[0, 1], 2.7]], [[[0, 1], "2"]], [[[0, 1], True]],
-    [[[1.0, 0], 2]], [[["1", 0], 2]], [[[False, 1], 2]],
+    [[[1.0, 0], 2]], [[["1", 0], 2]], [[[False, 1], 2]], [[[1.7, 0], 2]],
 ])
 def test_polynomial_from_json_rejects_non_integers(terms):
     with pytest.raises(ValueError, match="expected an integer"):
         Polynomial.from_json(terms, F7, 2)
+    with pytest.raises(ValueError):
+        Polynomial(F7, 2, {tuple(a): c for a, c in terms})
     with pytest.raises(ValueError, match="expected an integer"):
         PolyMatrix.from_json([[terms]], F7, 2)
+
+
+# -- differential check against pointwise evaluation -----------------------
+#
+# Evaluating at every point of F^m uses only the field's add/mul/pow, so it
+# shares no code with the dict arithmetic of Polynomial and PolyMatrix.
+
+DIFF_FIELDS = [make_field(2), make_field(3), make_field(5), make_field(2, 2), make_field(3, 2)]
+
+
+def _evaluate(p, x):
+    F = p.field
+    acc = 0
+    for alpha, c in p.terms.items():
+        mono = c
+        for xi, a in zip(x, alpha):
+            mono = F.mul(mono, F.pow(xi, a))
+        acc = F.add(acc, mono)
+    return acc
+
+
+def _evaluate_matrix(A, x):
+    return [[_evaluate(p, x) for p in row] for row in A.entries]
+
+
+def _field_sum(F, values):
+    acc = 0
+    for v in values:
+        acc = F.add(acc, v)
+    return acc
+
+
+def _points(F, m):
+    return list(product(range(F.q), repeat=m))
+
+
+RINGS = st.tuples(st.sampled_from(DIFF_FIELDS), st.sampled_from([1, 2]))
+
+
+def polys(F, m):
+    return st.dictionaries(
+        st.sampled_from(monomials_upto(2, m)), st.integers(0, F.q - 1), max_size=4,
+    ).map(lambda terms: Polynomial(F, m, terms))
+
+
+def poly_matrices(F, m, rows, cols):
+    return st.lists(
+        st.lists(polys(F, m), min_size=cols, max_size=cols), min_size=rows, max_size=rows,
+    ).map(lambda entries: PolyMatrix(F, m, entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_polynomial_arithmetic_matches_evaluation(data):
+    F, m = data.draw(RINGS)
+    a, b = data.draw(polys(F, m)), data.draw(polys(F, m))
+    for x in _points(F, m):
+        ax, bx = _evaluate(a, x), _evaluate(b, x)
+        assert _evaluate(a + b, x) == F.add(ax, bx)
+        assert _evaluate(a - b, x) == F.sub(ax, bx)
+        assert _evaluate(a * b, x) == F.mul(ax, bx)
+    assert all(c != 0 for c in (a + b).terms.values())
+    assert all(c != 0 for c in (a * b).terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matmul_matches_evaluation(data):
+    F, m = data.draw(RINGS)
+    k, t, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    A = data.draw(poly_matrices(F, m, k, t))
+    B = data.draw(poly_matrices(F, m, t, n))
+    AB = A @ B
+    for x in _points(F, m):
+        Ax, Bx = _evaluate_matrix(A, x), _evaluate_matrix(B, x)
+        expected = [
+            [_field_sum(F, (F.mul(Ax[i][s], Bx[s][j]) for s in range(t))) for j in range(n)]
+            for i in range(k)
+        ]
+        assert _evaluate_matrix(AB, x) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_minors_match_evaluated_determinants(data):
+    F, m = data.draw(RINGS)
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(k, 4))
+    G = data.draw(poly_matrices(F, m, k, n))
+    minors = G.full_size_minors()
+    assert [cols for cols, _ in minors] == list(combinations(range(n), k))
+    for x in _points(F, m):
+        Gx = _evaluate_matrix(G, x)
+        for cols, minor in minors:
+            sub = ConstMatrix(F, tuple(tuple(row[c] for c in cols) for row in Gx))
+            assert _evaluate(minor, x) == det(sub)
+    assert G.has_full_row_rank() == any(not d.is_zero() for _, d in minors)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_values_are_immutable_and_hash_by_value(data):
+    F, m = data.draw(RINGS)
+    p = data.draw(polys(F, m))
+    zero = Polynomial.zero(F, m)
+    assert p + (-p) == zero and hash(p + (-p)) == hash(zero)
+    A = data.draw(poly_matrices(F, m, 2, 2))
+    B = PolyMatrix.from_json(A.to_json(), F, m)
+    assert A == B and hash(A) == hash(B)
+    assert A.rows == A.cols == 2
+    for obj, name in [(p, "terms"), (p, "m"), (A, "entries"), (A, "field")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)

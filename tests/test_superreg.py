@@ -242,3 +242,5 @@ def test_json_round_trip():
 def test_from_json_rejects_non_integer_entries(bad):
     with pytest.raises(ValueError, match="expected an integer"):
         ConstMatrix.from_json({"field": {"p": 5, "e": 1}, "entries": [[bad, 2], [3, 4]]})
+    with pytest.raises(ValueError, match="is not an element code"):
+        ConstMatrix(F5, ((bad, 2), (3, 4)))
