@@ -22,6 +22,7 @@ from .superreg import (
     rank,
 )
 from .codes import (
+    CERTIFIED_DISTANCE,
     CERTIFIED_MDS,
     MD_STAIRCASE_BOUND,
     NOT_CERTIFIED,
@@ -57,7 +58,7 @@ __all__ = [
     "ConstMatrix", "SearchExhaustedError", "SuperregularityReport",
     "cauchy_matrix", "is_superregular", "left_nullspace", "nullspace",
     "random_superregular", "rank",
-    "CERTIFIED_MDS", "MD_STAIRCASE_BOUND", "NOT_CERTIFIED", "RATE_1N",
+    "CERTIFIED_DISTANCE", "CERTIFIED_MDS", "MD_STAIRCASE_BOUND", "NOT_CERTIFIED", "RATE_1N",
     "STAIRCASE_KN", "CodeDescriptor", "ConstructionError", "FieldTooSmallError",
     "FlattenedMatrix", "MdsCertificate", "certify", "construct_mds_rate_1n",
     "construct_mds_staircase", "phi_flatten", "phi_lift", "singleton_bound",

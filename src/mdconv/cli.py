@@ -1,7 +1,7 @@
 """Command-line front end over the JSON formats.
 
 Exit codes: 0 success / property verified; 1 property failed (not
-superregular, below_bound true, certificate failed); 2 usage or parameter
+superregular, below_bound true, not CERTIFIED_MDS); 2 usage or parameter
 error; 3 construction infeasible (field too small, search exhausted).
 All randomness derives from --seed; identical invocations print identical
 bytes.
@@ -16,15 +16,15 @@ import sys
 
 from .galois import make_field
 from .multipoly import PolyMatrix, Polynomial
-from .superreg import ConstMatrix, SearchExhaustedError, is_superregular
+from .superreg import ConstMatrix, SearchExhaustedError, cauchy_matrix, is_superregular
 from .codes import (
     CERTIFIED_MDS,
     CodeDescriptor,
     ConstructionError,
     certify,
-    construct_mds_rate_1n,
     construct_mds_staircase,
     phi_flatten,
+    phi_lift,
     singleton_bound,
     singleton_witness,
     support_count,
@@ -134,16 +134,11 @@ def _cmd_bound(args, pretty) -> int:
 
 def _cmd_construct(args, pretty) -> int:
     F = make_field(args.p, args.e)
-    if args.cmd == "construct":
-        code, cert = construct_mds_rate_1n(
-            F, args.m, args.n, args.delta,
-            source=args.source, seed=args.seed, max_tries=args.max_tries,
-        )
-    else:
-        code, cert = construct_mds_staircase(
-            F, args.m, args.k, args.n, args.nu,
-            source=args.source, seed=args.seed, max_tries=args.max_tries,
-        )
+    k, nu = (1, args.delta) if args.cmd == "construct" else (args.k, args.nu)
+    code, cert = construct_mds_staircase(
+        F, args.m, k, args.n, nu,
+        source=args.source, seed=args.seed, max_tries=args.max_tries,
+    )
     if args.output:
         _write_json(args.output, code.to_json())
         _dump(cert.to_json(), pretty)
@@ -213,10 +208,6 @@ def _cmd_distance(args, pretty) -> int:
 
 
 def _cmd_selftest(args, pretty) -> int:
-    from itertools import product as iproduct
-
-    from .superreg import cauchy_matrix, vec_mat
-
     checks = []
 
     ok = all(
@@ -225,25 +216,21 @@ def _cmd_selftest(args, pretty) -> int:
     )
     checks.append(("support_count_identity", ok))
 
-    # Weight lemma on canonical Cauchy matrices, exhaustive over u.
+    # Weight lemma on canonical Cauchy A (r x s): A is superregular iff the
+    # constant code [I_r | A] has distance s + 1 (Roth-Seroussi).
     ok = True
-    for q, ppow in [(3, (3, 1)), (5, (5, 1)), (7, (7, 1)), (4, (2, 2)), (9, (3, 2))]:
-        F = make_field(*ppow)
+    for p, e in [(3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]:
+        F = make_field(p, e)
         for r in range(1, 4):
             for s in range(r, 5):
                 if F.q < r + s:
                     continue
                 A = cauchy_matrix(F, list(range(r)), list(range(r, r + s)))
-                if not is_superregular(A).verdict:
-                    ok = False
-                    continue
-                for u in iproduct(range(F.q), repeat=r):
-                    if not any(u):
-                        continue
-                    wt_u = sum(1 for x in u if x)
-                    wt_uA = sum(1 for x in vec_mat(u, A) if x)
-                    if wt_uA < s - wt_u + 1:
-                        ok = False
+                S = ConstMatrix(F, [[int(i == j) for j in range(r)] + list(row)
+                                    for i, row in enumerate(A.entries)])
+                G = phi_lift(S, 1, [(r, 0)])
+                ok = ok and is_superregular(A).verdict and (
+                    free_distance_estimate(G, 0).min_weight_found == s + 1)
     checks.append(("superregular_weight_lemma", ok))
 
     _dump({"checks": [{"name": n, "passed": p} for n, p in checks]}, pretty)

@@ -8,12 +8,13 @@ reversed exponent tuple, which is exactly the recursion on the last
 variable.  Multi-row matrices flatten row by row, block after block.
 
 Certification is one rule.  A generator with row degrees d_1 >= ... >=
-d_{k-1} > d_k (any single row included) is MDS with free distance
-n*C(d_k+m, m) when n >= sum_{i<k}(d_i + 1) + d_k + 1 and its flattening is
-superregular.  The three construction theorems RATE_1N (k = 1), STAIRCASE_KN
-(k - 1 rows of degree nu + 1 over one of degree nu) and MD_STAIRCASE_BOUND
-(any other such profile) are labels of this rule; they differ only in how a
-certificate names its hypotheses.
+d_{k-1} > d_k (any single row included) has free distance n*C(d_k+m, m)
+when n >= sum_{i<k}(d_i + 1) + d_k + 1 and its flattening is superregular;
+it is MDS when that distance meets the generalized Singleton bound.  The
+three construction theorems RATE_1N (k = 1), STAIRCASE_KN (k - 1 rows of
+degree nu + 1 over one of degree nu) and MD_STAIRCASE_BOUND (any other such
+profile) label this rule and differ only in how a certificate names its
+hypotheses.
 
 A construction lifts a candidate source matrix into one row per degree of
 its profile.  When the lift has that profile its flattening is the source
@@ -43,6 +44,7 @@ STAIRCASE_KN = "STAIRCASE_KN"
 MD_STAIRCASE_BOUND = "MD_STAIRCASE_BOUND"
 
 CERTIFIED_MDS = "CERTIFIED_MDS"
+CERTIFIED_DISTANCE = "CERTIFIED_DISTANCE"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 
 
@@ -94,16 +96,13 @@ class CodeDescriptor:
     k: int
     n: int
     generator: PolyMatrix
-    declared_row_degrees: tuple[int, ...] = dc_field(default=())
+    declared_row_degrees: tuple[int, ...] = dc_field(init=False)
 
     def __post_init__(self):
         G = self.generator
         if (G.rows, G.cols) != (self.k, self.n) or G.field != self.field or G.m != self.m:
             raise ValueError("generator matrix does not match the declared dimensions")
-        degrees = tuple(G.row_degrees())
-        if self.declared_row_degrees and tuple(self.declared_row_degrees) != degrees:
-            raise ValueError("declared row degrees disagree with the generator")
-        object.__setattr__(self, "declared_row_degrees", degrees)
+        object.__setattr__(self, "declared_row_degrees", tuple(G.row_degrees()))
 
     @staticmethod
     def from_generator(G: PolyMatrix) -> "CodeDescriptor":
@@ -161,9 +160,8 @@ class MdsCertificate:
     certified_distance: Optional[int] = None
 
     def __post_init__(self):
-        if self.verdict == CERTIFIED_MDS:
-            assert all(h.passed for h in self.hypotheses)
-            assert self.certified_distance is not None
+        assert self.verdict == NOT_CERTIFIED or self.certified_distance is not None
+        assert self.verdict != CERTIFIED_MDS or all(h.passed for h in self.hypotheses)
 
     def to_json(self) -> dict:
         return {
@@ -231,6 +229,11 @@ def _superregularity_hypothesis(G: PolyMatrix) -> Hypothesis:
     return Hypothesis("flatten_superregular", report.verdict, detail)
 
 
+def _min_length(profile: Sequence[int]) -> int:
+    """Least n the one rule admits: sum_{i<k}(d_i + 1) + d_k + 1."""
+    return sum(d + 1 for d in profile)
+
+
 def certify(code: CodeDescriptor) -> MdsCertificate:
     """Certify the generator by the one rule of this module: for a row-degree
     profile d_1 >= ... >= d_{k-1} > d_k, n >= sum_{i<k}(d_i + 1) + d_k + 1
@@ -238,7 +241,10 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
     profile picks only the labels: RATE_1N for k = 1, else STAIRCASE_KN for
     k - 1 rows of degree nu + 1 over one of degree nu, else
     MD_STAIRCASE_BOUND.  The flattening is scanned only when the length
-    condition holds.  NOT_CERTIFIED makes no claim of non-MDS-ness."""
+    condition holds.  A distance below the Singleton bound for degree
+    sum(d_i) is CERTIFIED_DISTANCE, not CERTIFIED_MDS, and fails the
+    hypothesis `meets_singleton_bound`.  NOT_CERTIFIED makes no claim of
+    non-MDS-ness."""
     m, k, n = code.m, code.k, code.n
     degrees = code.generator.row_degrees()
     if any(d == NEG_INF for d in degrees):
@@ -249,7 +255,7 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
         )
     degrees = [int(d) for d in degrees]
     nu = degrees[-1]
-    need = sum(d + 1 for d in degrees[:-1]) + nu + 1
+    need = _min_length(degrees)
 
     if k == 1:
         theorem = RATE_1N
@@ -285,10 +291,15 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
     hyps = [profile, Hypothesis(length, n >= need, length_detail)]
     if n >= need:
         hyps.append(_superregularity_hypothesis(code.generator))
-    if all(h.passed for h in hyps):
-        distance = staircase_distance_bound(m, n, nu)
+    if not all(h.passed for h in hyps):
+        return MdsCertificate(theorem, tuple(hyps), NOT_CERTIFIED)
+    distance = staircase_distance_bound(m, n, nu)
+    bound = singleton_bound(m, k, n, sum(degrees))
+    if distance == bound:
         return MdsCertificate(theorem, tuple(hyps), CERTIFIED_MDS, distance)
-    return MdsCertificate(theorem, tuple(hyps), NOT_CERTIFIED)
+    detail = f"certified distance {distance}, Singleton bound {bound}"
+    hyps.append(Hypothesis("meets_singleton_bound", False, detail))
+    return MdsCertificate(theorem, tuple(hyps), CERTIFIED_DISTANCE, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +320,8 @@ def _construct(
 ) -> tuple[CodeDescriptor, MdsCertificate]:
     """Lift each candidate source into one row per degree of `profile` and
     return the first lift of that profile that `certify` passes."""
+    if n < (need := _min_length(profile)):
+        raise ValueError(f"need n >= {need}, got n = {n}")
     rows = sum(support_count(d, m) for d in profile)
     if isinstance(source, ConstMatrix):
         if (source.rows, source.cols) != (rows, n):
@@ -344,10 +357,8 @@ def construct_mds_rate_1n(
     max_tries: int = 10_000,
 ) -> tuple[CodeDescriptor, MdsCertificate]:
     """Build a certified MDS rate-1/n code of degree `delta` in m variables
-    from a superregular C(delta+m, m) x n matrix."""
-    if n < delta + 1:
-        raise ValueError(f"need n >= delta + 1, got n = {n}, delta = {delta}")
-    return _construct(F, m, [delta], n, source, seed, max_tries)
+    from a superregular C(delta+m, m) x n matrix: the staircase with k = 1."""
+    return construct_mds_staircase(F, m, 1, n, delta, source, seed, max_tries)
 
 
 def construct_mds_staircase(
@@ -364,10 +375,6 @@ def construct_mds_staircase(
     of degree nu + 1 and one row of degree nu, flattening superregular."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < k * (nu + 2) - 1:
-        raise ValueError(
-            f"need n >= k(nu+2) - 1 = {k * (nu + 2) - 1}, got n = {n}"
-        )
     return _construct(F, m, [nu + 1] * (k - 1) + [nu], n, source, seed, max_tries)
 
 

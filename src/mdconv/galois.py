@@ -14,7 +14,7 @@ gcd(f, x^(p^i) - x mod f) = 1 for every 1 <= i <= e/2, which takes
 milliseconds even for GF(2^61).
 
 No log/exp tables are kept: they take O(q) memory per field, so they could
-serve only small fields as a second path beside this one.  ROADMAP item 2,
+serve only small fields as a second path beside this one.  ROADMAP item 3,
 stage two (log/exp tables), records their measured speedup and what they
 wait for.
 """
@@ -83,15 +83,10 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[i
 def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
     """Monic degree-`deg` polynomials over GF(p), nonzero constant term,
     ascending by the integer sum(c_i * p^i) over the non-leading coefficients."""
+    digits = FiniteField(p, deg)._digits
     for code in range(p**deg):
-        digits = []
-        c = code
-        for _ in range(deg):
-            digits.append(c % p)
-            c //= p
-        if digits[0] == 0:
-            continue
-        yield tuple(digits) + (1,)
+        if code % p:
+            yield tuple(digits(code)) + (1,)
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:

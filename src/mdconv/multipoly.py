@@ -37,7 +37,7 @@ def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
     return exps
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Polynomial:
     """Immutable sparse polynomial over a finite field.  Arithmetic may hand
     the constructor zero sums: it drops them."""
@@ -126,16 +126,11 @@ class Polynomial:
         return Polynomial(F, self.m, terms)
 
     def scale(self, c: int) -> "Polynomial":
-        F = self.field
-        F.check(c)
-        return Polynomial(F, self.m, {a: F.mul(x, c) for a, x in self.terms.items()})
+        return self * Polynomial.constant(self.field, self.m, c)
 
     def shift(self, alpha: ExponentVector) -> "Polynomial":
         """Multiply by the monomial z^alpha."""
-        return Polynomial(
-            self.field, self.m,
-            {tuple(x + y for x, y in zip(a, alpha)): c for a, c in self.terms.items()},
-        )
+        return self * Polynomial.monomial(self.field, alpha)
 
     # -- protocol --------------------------------------------------------
 
@@ -167,7 +162,7 @@ class Polynomial:
         return Polynomial(field, m, {tuple(a): json_int(c) for a, c in obj})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class PolyMatrix:
     """Immutable k x n matrix of polynomials sharing one field and m."""
 

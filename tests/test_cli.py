@@ -1,6 +1,20 @@
+import contextlib
+import functools
+import io
 import json
+import operator
+import os
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from mdconv import cli
+from mdconv.galois import make_field
+from mdconv.multipoly import monomials_upto
 
 
 def run_cli(*args, **kw):
@@ -256,3 +270,113 @@ def test_selftest():
 def test_pretty_flag_changes_format_not_content():
     plain = run_cli("bound", "--m", "3", "--k", "1", "--n", "3", "--delta", "2")
     assert plain.stdout.strip() == "30"
+
+
+def test_certify_distance_below_singleton_bound_exit_1(tmp_path):
+    from mdconv import CodeDescriptor, cauchy_matrix, phi_lift
+
+    F = make_field(11)
+    G = phi_lift(cauchy_matrix(F, range(4), range(4, 8)), 1, [(1, 2), (1, 0)])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(CodeDescriptor.from_generator(G).to_json()))
+    res = run_cli("certify", "-i", str(path))
+    assert res.returncode == 1
+    cert = json.loads(res.stdout)
+    assert (cert["verdict"], cert["certified_distance"]) == ("CERTIFIED_DISTANCE", 4)
+    assert cert["hypotheses"][-1] == {"name": "meets_singleton_bound", "passed": False,
+                                      "detail": "certified distance 4, Singleton bound 7"}
+
+
+def test_construct_length_precondition_exit_2():
+    res = run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "2")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: need n >= 3, got n = 2\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_and_bound_line_run():
+    text = README.read_text(encoding="utf-8")
+    example = re.search(r"## Library example\n+```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(example, "README.md", "exec"), {})
+    line = re.search(r"^mdconv (bound .*?)\s+# prints the distance bound: (\d+)$", text, re.M)
+    res = run_cli(*line.group(1).split())
+    assert (res.returncode, res.stdout) == (0, line.group(2) + "\n")
+    assert line.group(1) == "bound --m 2 --k 1 --n 3 --delta 1" and line.group(2) == "9"
+
+
+# Malformed input: valid JSON with zero to two random edits, each replacing or
+# deleting one node.  Fields stay at p <= 7, e <= 2 and shapes at 3 x 3 of
+# degree <= 1, so no example does exponential work.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats(-2, 2) | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.sampled_from(["p", "e", "irreducible", "field", "entries"]), kids, max_size=2),
+    max_leaves=4,
+)
+
+
+def _nodes(doc, path=()):
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key in (doc if isinstance(doc, dict) else range(len(doc))):
+            yield from _nodes(doc[key], path + (key,))
+
+
+def _edited(draw, doc):
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_nodes(doc))))
+        if not path:
+            doc = draw(ANY_JSON)
+            continue
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(ANY_JSON)
+    return doc
+
+
+@st.composite
+def cli_inputs(draw, cmd):
+    """argv tail and input document for `cmd`."""
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]))
+    F = make_field(p, e)
+    m, k, n = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    element = st.integers(0, F.q - 1)
+    if cmd == "check-sr":
+        return [], _edited(draw, {"field": F.to_json(), "entries": [
+            [draw(element) for _ in range(n)] for _ in range(k)]})
+    poly = st.dictionaries(st.sampled_from(monomials_upto(1, m)), element).map(
+        lambda terms: [[list(a), c] for a, c in terms.items()])
+    generator = [[draw(poly) for _ in range(n)] for _ in range(k)]
+    doc = _edited(draw, {"field": F.to_json(), "m": m, "k": k, "n": n, "generator": generator})
+    extra = {
+        "encode": ["--message", json.dumps(_edited(draw, [draw(poly) for _ in range(k)]))],
+        "distance": ["--cap", "0"],
+    }.get(cmd, [])
+    return extra, doc
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["flatten", "check-sr", "certify", "witness", "encode", "distance"]),
+       st.data())
+def test_malformed_json_exits_cleanly(cmd, data):
+    extra, doc = data.draw(cli_inputs(cmd))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = _main_in_process([cmd, "-i", path, *extra])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == ""

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mdconv.galois import make_field
 from mdconv.multipoly import NEG_INF, Polynomial, PolyMatrix, monomials_upto
 from mdconv import codes, superreg
+from mdconv.distance import free_distance_estimate
 from mdconv.superreg import (
     ConstMatrix,
     SearchExhaustedError,
@@ -19,6 +20,7 @@ from mdconv.superreg import (
     random_superregular,
 )
 from mdconv.codes import (
+    CERTIFIED_DISTANCE,
     CERTIFIED_MDS,
     MD_STAIRCASE_BOUND,
     NOT_CERTIFIED,
@@ -27,6 +29,7 @@ from mdconv.codes import (
     CodeDescriptor,
     ConstructionError,
     FieldTooSmallError,
+    Hypothesis,
     certify,
     construct_mds_rate_1n,
     construct_mds_staircase,
@@ -448,8 +451,11 @@ def test_certify_md_staircase_profile():
     G = phi_lift(S, 2, [(1, 2), (1, 1), (1, 0)])
     cert = certify(CodeDescriptor.from_generator(G))
     assert cert.theorem == MD_STAIRCASE_BOUND
-    assert cert.verdict == CERTIFIED_MDS
+    assert cert.verdict == CERTIFIED_DISTANCE
     assert cert.certified_distance == staircase_distance_bound(2, n, 0) == n
+    assert cert.hypotheses[-1] == Hypothesis(
+        "meets_singleton_bound", False, "certified distance 10, Singleton bound 28"
+    )
 
 
 def _lifted(F, m, degrees, entries):
@@ -472,7 +478,8 @@ def _zero_row_code():
 
 
 # One small code per certificate outcome, with the exact certificate JSON
-# recorded before `certify` was folded into one rule.
+# recorded before `certify` was folded into one rule; md_staircase_pass
+# gained the Singleton-bound hypothesis and verdict since.
 GOLDEN_CERTIFICATES = [
     ("rate_1n_pass", lambda: _lifted(F5, 1, [1], [[1, 1], [1, 2]]),
      '{"certified_distance": 4, "hypotheses": [{"detail": "k = 1, row degree 1", "name": "single_row_generator", "passed": true}, {"detail": "n = 2, delta + 1 = 2", "name": "length_at_least_degree_plus_one", "passed": true}, {"detail": "all 5 minors nonzero", "name": "flatten_superregular", "passed": true}], "theorem": "RATE_1N", "verdict": "CERTIFIED_MDS"}'),
@@ -487,7 +494,7 @@ GOLDEN_CERTIFICATES = [
     ("staircase_sr_fail", lambda: _lifted(F7, 1, [1, 0], [[1, 2, 3], [1, 1, 1], [1, 0, 4]]),
      '{"certified_distance": null, "hypotheses": [{"detail": "1 rows of degree 1, one of degree 0", "name": "staircase_row_degrees", "passed": true}, {"detail": "n = 3, k(nu+2) - 1 = 3", "name": "length_condition", "passed": true}, {"detail": "zero minor at rows [2], cols [1]", "name": "flatten_superregular", "passed": false}], "theorem": "STAIRCASE_KN", "verdict": "NOT_CERTIFIED"}'),
     ("md_staircase_pass", lambda: _lifted(F11, 1, [2, 0], _cauchy(F11, 4, 4)),
-     '{"certified_distance": 4, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 4, required 4", "name": "length_condition", "passed": true}, {"detail": "all 69 minors nonzero", "name": "flatten_superregular", "passed": true}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "CERTIFIED_MDS"}'),
+     '{"certified_distance": 4, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 4, required 4", "name": "length_condition", "passed": true}, {"detail": "all 69 minors nonzero", "name": "flatten_superregular", "passed": true}, {"detail": "certified distance 4, Singleton bound 7", "name": "meets_singleton_bound", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "CERTIFIED_DISTANCE"}'),
     ("md_staircase_length_fail", lambda: _lifted(F11, 1, [2, 0], _cauchy(F11, 4, 3)),
      '{"certified_distance": null, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 3, required 4", "name": "length_condition", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
     ("md_staircase_sr_fail",
@@ -548,10 +555,49 @@ def test_certify_invariant_under_column_permutation(case):
     Gp = PolyMatrix(G.field, G.m, [[row[j] for j in perm] for row in G.entries])
     permuted = certify(CodeDescriptor.from_generator(Gp))
     cert = certify(code)
-    if cert.verdict == CERTIFIED_MDS:
+    if cert.verdict != NOT_CERTIFIED:
         assert permuted.to_json() == cert.to_json()
     else:
         assert (permuted.theorem, permuted.verdict) == (cert.theorem, cert.verdict)
+
+
+# (m, profile) pairs: rate 1/n, staircase, and descending non-staircase.
+SINGLETON_PROFILES = [
+    (1, [0]), (1, [1]), (1, [2]), (2, [0]), (2, [1]),
+    (1, [1, 0]), (1, [2, 1]), (1, [1, 1, 0]), (2, [1, 0]),
+    (1, [2, 0]), (1, [3, 0]), (1, [2, 1, 0]), (2, [2, 0]),
+]
+SINGLETON_FIELDS = [make_field(*pe) for pe in [(5, 1), (7, 1), (11, 1), (13, 1), (2, 3), (3, 2), (2, 4)]]
+
+
+@st.composite
+def cauchy_lifted_codes(draw):
+    """A lift of a Cauchy source with n at or just above the length threshold."""
+    m, profile = draw(st.sampled_from(SINGLETON_PROFILES))
+    rows = sum(support_count(d, m) for d in profile)
+    need = sum(profile) + len(profile)
+    F = draw(st.sampled_from([F for F in SINGLETON_FIELDS if F.q >= rows + need]))
+    n = draw(st.integers(need, min(need + 1, F.q - rows, 48 // rows)))
+    points = draw(st.permutations(range(F.q)))
+    S = cauchy_matrix(F, points[:rows], points[rows:rows + n])
+    return CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cauchy_lifted_codes())
+@example(_lifted(F11, 1, [2, 0], _cauchy(F11, 4, 4)))
+def test_certified_verdict_matches_singleton_bound_and_search(code):
+    # MDS means the free distance meets the generalized Singleton bound for
+    # the code's degree; only rate 1/n and staircase profiles can.  The
+    # cap-0 search finds the certified distance: superregularity bounds
+    # every weight from below and the last generator row attains it.
+    G = code.generator
+    cert = certify(code)
+    assert cert.verdict != NOT_CERTIFIED
+    assert (cert.verdict == CERTIFIED_MDS) == (cert.theorem != MD_STAIRCASE_BOUND)
+    if cert.verdict == CERTIFIED_MDS:
+        assert cert.certified_distance == singleton_bound(code.m, code.k, code.n, G.internal_degree())
+    assert free_distance_estimate(G, 0).min_weight_found == cert.certified_distance
 
 
 def test_certified_minimal_row_weight_equals_distance():

@@ -383,6 +383,6 @@ def test_values_are_immutable_and_hash_by_value(data):
     B = PolyMatrix.from_json(A.to_json(), F, m)
     assert A == B and hash(A) == hash(B)
     assert A.rows == A.cols == 2
-    for obj, name in [(p, "terms"), (p, "m"), (A, "entries"), (A, "field")]:
+    for obj, name in [(p, "terms"), (p, "m"), (A, "entries"), (A, "field"), (A, "rows")]:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
