@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .galois import make_field
+from .galois import json_list, make_field
 from .multipoly import PolyMatrix, Polynomial
 from .superreg import ConstMatrix, SearchExhaustedError, cauchy_matrix, is_superregular
 from .codes import (
@@ -186,7 +186,7 @@ def _cmd_witness(args, pretty) -> int:
 def _cmd_encode(args, pretty) -> int:
     code = CodeDescriptor.from_json(_load_json(args.input))
     polys = [
-        Polynomial.from_json(p, code.field, code.m) for p in json.loads(args.message)
+        Polynomial.from_json(p, code.field, code.m) for p in json_list(json.loads(args.message))
     ]
     u = PolyMatrix(code.field, code.m, [polys])
     w = encode(u, code.generator)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence, Union
 
-from .galois import FiniteField, json_int
+from .galois import FiniteField, json_get, json_int
 from .multipoly import (
     NEG_INF,
     ExponentVector,
@@ -122,9 +122,9 @@ class CodeDescriptor:
 
     @staticmethod
     def from_json(obj: dict) -> "CodeDescriptor":
-        F = FiniteField.from_json(obj["field"])
-        m, k, n = (json_int(obj[key]) for key in ("m", "k", "n"))
-        return CodeDescriptor(F, m, k, n, PolyMatrix.from_json(obj["generator"], F, m))
+        F = FiniteField.from_json(json_get(obj, "field"))
+        m, k, n = (json_int(json_get(obj, key)) for key in ("m", "k", "n"))
+        return CodeDescriptor(F, m, k, n, PolyMatrix.from_json(json_get(obj, "generator"), F, m))
 
 
 @dataclass(frozen=True)

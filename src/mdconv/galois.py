@@ -2,25 +2,28 @@
 
 Elements are encoded as integers in [0, q).  For extension fields the
 base-p digits of the code, ascending, are the coordinates in the power
-basis 1, x, ..., x^(e-1).  Arithmetic is direct modular arithmetic for
-prime fields and polynomial multiply-and-reduce for extensions.
+basis 1, x, ..., x^(e-1).  Prime fields use direct modular arithmetic, and
+inverses come from Python's builtin pow(a, -1, p).
 
-Inversion uses no exponentiation.  Prime fields use Python's builtin
-modular inverse pow(a, -1, p); extension fields run the extended Euclidean
-algorithm in GF(p)[x] against the field's irreducible polynomial.  The
-canonical irreducible is selected with Ben-Or's test ("Probabilistic
+Extension fields from `make_field` with q <= _TABLE_MAX_Q keep an exp table
+of a primitive element g and its log table (Lidl-Niederreiter, "Introduction
+to Finite Fields and Their Applications", ch. 9), so `mul` and `inv` are two
+or three list lookups instead of polynomial multiply-and-reduce and an
+extended Euclid in GF(p)[x].  The tables take O(q) memory and O(q) multiplies
+to build, so larger fields, up to GF(2^61), keep the polynomial path, which
+is also the code that builds the tables.  `add`, `sub` and `neg` stay
+digitwise on every field: a Zech-log addition would need a third table.
+`make_field` is memoized, so each (p, e) builds its tables once per process.
+
+The canonical irreducible is selected with Ben-Or's test ("Probabilistic
 algorithms in finite fields", FOCS 1981): f of degree e is irreducible iff
 gcd(f, x^(p^i) - x mod f) = 1 for every 1 <= i <= e/2, which takes
 milliseconds even for GF(2^61).
-
-No log/exp tables are kept: they take O(q) memory per field, so they could
-serve only small fields as a second path beside this one.  ROADMAP item 3,
-stage two (log/exp tables), records their measured speedup and what they
-wait for.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -35,6 +38,22 @@ def json_int(x) -> int:
     if type(x) is not int:
         raise ValueError(f"expected an integer, got {x!r}")
     return x
+
+
+def json_list(x) -> list:
+    """A list read from JSON; other values are refused, not iterated."""
+    if type(x) is not list:
+        raise ValueError(f"expected a list, got {x!r}")
+    return x
+
+
+def json_get(obj, key: str):
+    """The value of a required key of a JSON object."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected an object with key {key!r}, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
 
 
 # Miller-Rabin with these bases is exact for n < 3.18e23 (Sorenson-Webster
@@ -120,6 +139,10 @@ class FiniteField:
     p: int
     e: int
     irreducible: tuple[int, ...] | None = field(default=None)
+    # (exp, log) of a primitive element, set only by `make_field`; see the
+    # module docstring.
+    _log_exp: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def q(self) -> int:
@@ -164,6 +187,9 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
+        if self._log_exp is not None:
+            exp, log = self._log_exp
+            return exp[log[a] + log[b]] if a and b else 0
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.e - 1)
         for i, x in enumerate(da):
@@ -178,6 +204,9 @@ class FiniteField:
         p = self.p
         if self.e == 1:
             return pow(a, -1, p)
+        if self._log_exp is not None:
+            exp, log = self._log_exp
+            return exp[len(log) - 1 - log[a]]
         # Extended Euclid on (f, a): s_i * a = r_i (mod f) throughout.  The
         # last nonzero remainder is a constant because f is irreducible.
         r0, r1 = self.irreducible, _trim(self._digits(a))
@@ -218,9 +247,10 @@ class FiniteField:
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteField":
-        F = make_field(json_int(obj["p"]), json_int(obj.get("e", 1)))
-        irreducible = [json_int(c) for c in obj.get("irreducible", F.irreducible or [])]
-        if list(F.irreducible or []) != irreducible:
+        p = json_int(json_get(obj, "p"))
+        F = make_field(p, json_int(obj.get("e", 1)))
+        canonical = list(F.irreducible or [])
+        if [json_int(c) for c in json_list(obj.get("irreducible", canonical))] != canonical:
             raise GaloisError("irreducible polynomial does not match the canonical choice")
         return F
 
@@ -228,12 +258,35 @@ class FiniteField:
         return f"GF({self.q})"
 
 
+# Fields up to this size get log/exp tables; building them takes about
+# 17 ms at q = 2^10 and 33 ms at 2^11 (2-core Xeon, Python 3.11.7).
+_TABLE_MAX_Q = 2**10
+
+
+def _log_exp_tables(F: FiniteField) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """exp[i] = g^i for 0 <= i < 2(q - 1) and log[g^i] = i, for the least
+    primitive element code g; log[0] is an unused 0."""
+    n = F.q - 1
+    primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+    # g generates GF(q)* iff g^(n/r) != 1 for every prime r dividing n.
+    g = next(g for g in range(2, F.q) if all(F.pow(g, n // r) != 1 for r in primes))
+    exp = [1]
+    for _ in range(n - 1):
+        exp.append(F.mul(exp[-1], g))
+    log = [0] * F.q
+    for i, a in enumerate(exp):
+        log[a] = i
+    return tuple(exp * 2), tuple(log)
+
+
+@functools.cache
 def make_field(p: int, e: int = 1) -> FiniteField:
     """Build GF(p^e) with the canonical irreducible polynomial.
 
     The irreducible is the first irreducible monic degree-e polynomial with
     nonzero constant term, ordered by the integer sum(c_i * p^i) over the
-    non-leading coefficients.  Deterministic across runs.
+    non-leading coefficients.  Deterministic across runs.  Memoized: equal
+    arguments return the same object, with its log/exp tables built once.
     """
     if e < 1:
         raise GaloisError(f"extension degree must be >= 1, got {e}")
@@ -243,4 +296,7 @@ def make_field(p: int, e: int = 1) -> FiniteField:
         raise GaloisError(f"{p} is not prime")
     if e == 1:
         return FiniteField(p, 1, None)
-    return FiniteField(p, e, _canonical_irreducible(p, e))
+    F = FiniteField(p, e, _canonical_irreducible(p, e))
+    if F.q <= _TABLE_MAX_Q:
+        object.__setattr__(F, "_log_exp", _log_exp_tables(F))
+    return F

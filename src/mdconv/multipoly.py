@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .galois import FiniteField, GaloisError, json_int
+from .galois import FiniteField, GaloisError, json_int, json_list
 
 #: Degree of the zero polynomial.  A distinguished non-integer marker that
 #: still compares below every real degree.
@@ -158,8 +158,13 @@ class Polynomial:
         return [[list(a), c] for a, c in self.sorted_terms()]
 
     @staticmethod
-    def from_json(obj: Iterable, field: FiniteField, m: int) -> "Polynomial":
-        return Polynomial(field, m, {tuple(a): json_int(c) for a, c in obj})
+    def from_json(obj: list, field: FiniteField, m: int) -> "Polynomial":
+        terms = {}
+        for term in json_list(obj):
+            if type(term) is not list or len(term) != 2:
+                raise ValueError(f"polynomial term must be [exponents, coefficient], got {term!r}")
+            terms[tuple(map(json_int, json_list(term[0])))] = json_int(term[1])
+        return Polynomial(field, m, terms)
 
 
 @dataclass(frozen=True)
@@ -274,7 +279,8 @@ class PolyMatrix:
     @staticmethod
     def from_json(obj: list, field: FiniteField, m: int) -> "PolyMatrix":
         return PolyMatrix(
-            field, m, [[Polynomial.from_json(p, field, m) for p in row] for row in obj]
+            field, m,
+            [[Polynomial.from_json(p, field, m) for p in json_list(row)] for row in json_list(obj)],
         )
 
 

@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .galois import FiniteField, GaloisError, json_int
+from .galois import FiniteField, GaloisError, json_get, json_int, json_list
 
 
 class SearchExhaustedError(RuntimeError):
@@ -58,8 +58,9 @@ class ConstMatrix:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstMatrix":
-        F = FiniteField.from_json(obj["field"])
-        return ConstMatrix(F, tuple(tuple(json_int(x) for x in row) for row in obj["entries"]))
+        F = FiniteField.from_json(json_get(obj, "field"))
+        return ConstMatrix(F, tuple(tuple(json_int(x) for x in json_list(row))
+                                    for row in json_list(json_get(obj, "entries"))))
 
 
 @dataclass(frozen=True)
@@ -204,17 +205,3 @@ def nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
 def left_nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
     return nullspace(A.transpose())
 
-
-def mat_vec(A: ConstMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    F = A.field
-    out = []
-    for row in A.entries:
-        acc = 0
-        for a, x in zip(row, v):
-            acc = F.add(acc, F.mul(a, x))
-        out.append(acc)
-    return tuple(out)
-
-
-def vec_mat(u: Sequence[int], A: ConstMatrix) -> tuple[int, ...]:
-    return mat_vec(A.transpose(), u)

@@ -7,6 +7,7 @@ lines on standard output.
 import random
 import subprocess
 import sys
+from functools import reduce
 from itertools import product
 
 from mdconv.galois import make_field
@@ -17,7 +18,6 @@ from mdconv.superreg import (
     cauchy_matrix,
     is_superregular,
     random_superregular,
-    vec_mat,
 )
 from mdconv.codes import (
     CERTIFIED_MDS,
@@ -128,6 +128,12 @@ def _superregular_samples(F, r, s, count=5):
         except SearchExhaustedError:
             break
     return samples
+
+
+def vec_mat(u, A):
+    """u A over A's field, term by term."""
+    F = A.field
+    return tuple(reduce(F.add, (F.mul(x, a) for x, a in zip(u, col)), 0) for col in zip(*A.entries))
 
 
 def test_criterion_6_lemma_suites():

@@ -380,3 +380,27 @@ def test_malformed_json_exits_cleanly(cmd, data):
     assert "Traceback" not in err
     if code in (2, 3):
         assert out == ""
+    if code == 2:
+        # One line that describes the input, not a bare KeyError repr.
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert not err.startswith("error: '")
+
+
+def test_json_shape_errors_name_the_input(tmp_path):
+    _, out, _ = _main_in_process(["construct", "--p", "7", "--m", "1", "--n", "2",
+                                  "--delta", "1"])
+    doc = json.loads(out)["code"]
+    cases = [
+        ({k: v for k, v in doc.items() if k != "generator"}, "missing key 'generator'"),
+        ({**doc, "generator": [[[[[0], 1, 2]], []]]},
+         "polynomial term must be [exponents, coefficient], got [[0], 1, 2]"),
+        ({**doc, "generator": [[[[[0]]], []]]},
+         "polynomial term must be [exponents, coefficient], got [[0]]"),
+        # An empty object was once read as the zero polynomial.
+        ({**doc, "generator": [[{}, []]]}, "expected a list, got {}"),
+        ({**doc, "field": 7}, "expected an object with key 'p', got 7"),
+    ]
+    path = tmp_path / "code.json"
+    for bad, message in cases:
+        path.write_text(json.dumps(bad))
+        assert _main_in_process(["certify", "-i", str(path)]) == (2, "", f"error: {message}\n")

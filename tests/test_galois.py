@@ -2,9 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdconv.galois import (
-    FiniteField, GaloisError, _is_irreducible, _monic_polys, _poly_divmod, is_prime, make_field,
+    _TABLE_MAX_Q, FiniteField, GaloisError, _is_irreducible, _monic_polys, _poly_divmod, is_prime,
+    make_field,
 )
 
 
@@ -100,6 +102,60 @@ def test_make_field_large_extension_degree_is_fast():
 def test_make_field_deterministic():
     assert make_field(2, 4) == make_field(2, 4)
     assert make_field(5, 2).irreducible == make_field(5, 2).irreducible
+
+
+def test_make_field_is_memoized():
+    assert make_field(2, 4) is make_field(2, 4)
+    assert FiniteField.from_json(make_field(3, 3).to_json()) is make_field(3, 3)
+
+
+def _polynomial_oracle(p, e):
+    """The same field without log/exp tables: every mul and inv runs the
+    polynomial multiply-and-reduce and extended Euclid path."""
+    return FiniteField(p, e, make_field(p, e).irreducible)
+
+
+def test_tables_only_for_small_extension_fields():
+    assert make_field(2, 10).q == _TABLE_MAX_Q
+    assert make_field(2, 10)._log_exp is not None
+    assert make_field(2, 11)._log_exp is None
+    assert make_field(7)._log_exp is None  # GF(p) keeps its modular arithmetic
+    assert _polynomial_oracle(2, 4)._log_exp is None
+    # The tables are invisible to equality, hashing, repr and JSON.
+    F, O = make_field(2, 4), _polynomial_oracle(2, 4)
+    assert F == O and hash(F) == hash(O)
+    assert (repr(F), F.to_json()) == (repr(O), O.to_json())
+
+
+EXTENSIONS_TO_64 = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
+
+
+@pytest.mark.parametrize("p,e", EXTENSIONS_TO_64)
+def test_tables_match_polynomial_oracle_exhaustive(p, e):
+    F, O = make_field(p, e), _polynomial_oracle(p, e)
+    assert F._log_exp is not None
+    q = F.q
+    for a in range(q):
+        assert [F.mul(a, b) for b in range(q)] == [O.mul(a, b) for b in range(q)]
+        assert [F.pow(a, n) for n in range(q)] == [O.pow(a, n) for n in range(q)]
+        if a:
+            assert F.inv(a) == O.inv(a)
+            assert F.pow(a, -a) == O.pow(a, -a)  # one negative exponent per a
+
+
+NEAR_TABLE_MAX_Q = [(2, 10), (2, 9), (3, 6), (5, 4), (31, 2), (29, 2), (7, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NEAR_TABLE_MAX_Q), st.data())
+def test_tables_match_polynomial_oracle_near_table_max_q(pe, data):
+    F, O = make_field(*pe), _polynomial_oracle(*pe)
+    a, b = data.draw(st.integers(0, F.q - 1)), data.draw(st.integers(0, F.q - 1))
+    n = data.draw(st.integers(-3 * F.q, 3 * F.q))
+    assert F.mul(a, b) == O.mul(a, b)
+    if b:
+        assert F.inv(b) == O.inv(b)
+        assert F.pow(b, n) == O.pow(b, n)
 
 
 def test_gf2_add():

@@ -1,11 +1,12 @@
 import itertools
 import random
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdconv.galois import GaloisError, make_field
+from mdconv.galois import FiniteField, GaloisError, make_field
 from mdconv.multipoly import Polynomial, PolyMatrix
 from mdconv.superreg import (
     ConstMatrix,
@@ -14,12 +15,10 @@ from mdconv.superreg import (
     det,
     is_superregular,
     left_nullspace,
-    mat_vec,
     nullspace,
     random_matrices,
     random_superregular,
     rank,
-    vec_mat,
 )
 
 F2 = make_field(2)
@@ -30,6 +29,17 @@ F4 = make_field(2, 2)
 F8 = make_field(2, 3)
 F9 = make_field(3, 2)
 SMALL_FIELDS = [F2, F3, F4, F5, F7, F8, F9]
+
+
+def mat_vec(A, v):
+    """A v over A's field, term by term."""
+    F = A.field
+    return tuple(reduce(F.add, (F.mul(a, x) for a, x in zip(row, v)), 0) for row in A.entries)
+
+
+def vec_mat(u, A):
+    """u A over A's field, term by term."""
+    return mat_vec(A.transpose(), u)
 
 
 def test_one_by_one_minors():
@@ -231,6 +241,23 @@ def test_superregular_iff_systematic_code_is_mds(A):
         for u in product(range(A.field.q), repeat=A.rows) if any(u)
     )
     assert is_superregular(A).verdict == (min_weight >= A.cols + 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (7, 2), (2, 10)]),
+       st.data())
+def test_scan_and_det_match_over_polynomial_oracle_field(pe, data):
+    # The same matrix over the tabled field and over the untabled one built
+    # from the same irreducible gives the same report and determinant.
+    F = make_field(*pe)
+    O = FiniteField(F.p, F.e, F.irreducible)
+    r, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entry = st.integers(0 if data.draw(st.booleans()) else 1, F.q - 1)
+    E = tuple(tuple(data.draw(entry) for _ in range(s)) for _ in range(r))
+    assert is_superregular(ConstMatrix(F, E)) == is_superregular(ConstMatrix(O, E))
+    t = min(r, s)
+    square = tuple(row[:t] for row in E[:t])
+    assert det(ConstMatrix(F, square)) == det(ConstMatrix(O, square))
 
 
 def test_json_round_trip():
