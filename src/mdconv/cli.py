@@ -57,7 +57,11 @@ def _write_json(path: str, obj) -> None:
 
 
 def _default_workers() -> int:
-    return int(os.environ.get("MDCONV_WORKERS", "1"))
+    value = os.environ.get("MDCONV_WORKERS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"MDCONV_WORKERS must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

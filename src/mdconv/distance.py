@@ -219,11 +219,14 @@ def free_distance_estimate(
     results are identical for any `workers` count; workers > 1 encode the
     batches of one window at a time on a thread pool.
 
-    Raises ValueError when the field is too large for exact int64
-    arithmetic (dim * e * (p - 1)^2 >= 2^63, dim = k * C(cap + m, m)).
+    Raises ValueError when `workers` < 1, or when the field is too large
+    for exact int64 arithmetic (dim * e * (p - 1)^2 >= 2^63,
+    dim = k * C(cap + m, m)).
     """
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     enum = _Enumerator(G, cap, normalize, stop_below)
     batches = enum.batches()
     pool = None

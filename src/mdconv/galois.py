@@ -11,9 +11,15 @@ to Finite Fields and Their Applications", ch. 9), so `mul` and `inv` are two
 or three list lookups instead of polynomial multiply-and-reduce and an
 extended Euclid in GF(p)[x].  The tables take O(q) memory and O(q) multiplies
 to build, so larger fields, up to GF(2^61), keep the polynomial path, which
-is also the code that builds the tables.  `add`, `sub` and `neg` stay
-digitwise on every field: a Zech-log addition would need a third table.
-`make_field` is memoized, so each (p, e) builds its tables once per process.
+is also the code that builds the tables.
+
+Addition is digitwise mod p, and on extension fields it takes one of three
+paths.  For p = 2 it is `a ^ b` on every field, tabled or not, and `neg` is
+the identity.  Tabled fields of odd p also keep Zech logarithms,
+zech[n] = log(1 + g^n), so a + b = g^(log a + zech[log b - log a]) and
+-a = g^(log a + (q - 1)/2).  Fields of odd p above _TABLE_MAX_Q, and any
+field built directly with `FiniteField(...)`, add digit by digit.  `make_field`
+is memoized, so each (p, e) builds its tables once per process.
 
 The canonical irreducible is selected with Ben-Or's test ("Probabilistic
 algorithms in finite fields", FOCS 1981): f of degree e is irreducible iff
@@ -139,9 +145,12 @@ class FiniteField:
     p: int
     e: int
     irreducible: tuple[int, ...] | None = field(default=None)
-    # (exp, log) of a primitive element, set only by `make_field`; see the
-    # module docstring.
+    # (exp, log) of a primitive element g, and for odd p the Zech logarithms
+    # zech[n] = log(1 + g^n), None where 1 + g^n = 0; set only by
+    # `make_field`.  See the module docstring.
     _log_exp: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False)
+    _zech: tuple[int | None, ...] | None = field(
         default=None, init=False, compare=False, repr=False)
 
     @property
@@ -173,8 +182,20 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a + b) % self.p
-        da, db = self._digits(a), self._digits(b)
-        return self._code([(x + y) % self.p for x, y in zip(da, db)])
+        if self.p == 2:
+            return a ^ b
+        if self._zech is None:
+            da, db = self._digits(a), self._digits(b)
+            return self._code([(x + y) % self.p for x, y in zip(da, db)])
+        if not (a and b):
+            return a or b
+        # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]).  The zech
+        # table has length q - 1, so a negative index reads the exponent
+        # difference mod q - 1.
+        exp, log = self._log_exp
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -182,6 +203,12 @@ class FiniteField:
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
+        if self.p == 2 or not a:
+            return a
+        if self._zech is not None:
+            # -1 = g^((q-1)/2), and (q-1)/2 = q // 2 = len(log) // 2 for odd q.
+            exp, log = self._log_exp
+            return exp[log[a] + len(log) // 2]
         return self._code([(-x) % self.p for x in self._digits(a)])
 
     def mul(self, a: int, b: int) -> int:
@@ -258,8 +285,10 @@ class FiniteField:
         return f"GF({self.q})"
 
 
-# Fields up to this size get log/exp tables; building them takes about
-# 17 ms at q = 2^10 and 33 ms at 2^11 (2-core Xeon, Python 3.11.7).
+# Fields up to this size get log/exp tables, and for odd p a Zech table.
+# A whole `make_field` build takes 12-17 ms at q = 2^10 and 8-11 ms at 3^6
+# and 31^2; the tables alone would take 29-36 ms at 2^11 and 39 ms at 3^7
+# (2-core Xeon, Python 3.11.7, minima of 15-20 builds on a shared host).
 _TABLE_MAX_Q = 2**10
 
 
@@ -298,5 +327,10 @@ def make_field(p: int, e: int = 1) -> FiniteField:
         return FiniteField(p, 1, None)
     F = FiniteField(p, e, _canonical_irreducible(p, e))
     if F.q <= _TABLE_MAX_Q:
-        object.__setattr__(F, "_log_exp", _log_exp_tables(F))
+        exp, log = _log_exp_tables(F)
+        if p > 2:
+            # F has no Zech table yet, so `add` here is the digitwise sum.
+            zech = tuple(log[s] if (s := F.add(1, x)) else None for x in exp[:F.q - 1])
+            object.__setattr__(F, "_zech", zech)
+        object.__setattr__(F, "_log_exp", (exp, log))
     return F

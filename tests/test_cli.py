@@ -261,6 +261,22 @@ def test_workers_env_override(tmp_path):
     assert a.stdout == b.stdout
 
 
+def test_distance_workers_below_one_exit_2(tmp_path):
+    out = tmp_path / "code.json"
+    run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1", "-o", str(out))
+    cases = [
+        (["--workers", "0"], {}, "error: workers must be at least 1, got 0\n"),
+        (["--workers", "-2"], {}, "error: workers must be at least 1, got -2\n"),
+        ([], {"MDCONV_WORKERS": "0"}, "error: workers must be at least 1, got 0\n"),
+        ([], {"MDCONV_WORKERS": "two"},
+         "error: MDCONV_WORKERS must be an integer, got 'two'\n"),
+    ]
+    for flags, env, stderr in cases:
+        res = run_cli("distance", "-i", str(out), "--cap", "1", *flags,
+                      env=dict(os.environ, **env))
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", stderr)
+
+
 def test_selftest():
     res = run_cli("selftest")
     assert res.returncode == 0

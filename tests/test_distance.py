@@ -321,6 +321,13 @@ def test_import_does_not_load_numpy():
     assert out.stdout.strip() == "[False, False]"
 
 
+def test_workers_below_one_raise():
+    code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}$"):
+            free_distance_estimate(code.generator, 1, workers=workers)
+
+
 def test_worker_count_does_not_change_report():
     code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
     a = free_distance_estimate(code.generator, 2, workers=1)

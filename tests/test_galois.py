@@ -115,16 +115,54 @@ def _polynomial_oracle(p, e):
     return FiniteField(p, e, make_field(p, e).irreducible)
 
 
+def _digitwise(p, e, a, b, sign):
+    """The code of a + sign * b, computed digit by digit mod p: the
+    definition of addition in the power basis, independent of
+    `FiniteField`, whose `add` is XOR for p = 2 and Zech logarithms for
+    tabled odd p."""
+    return sum((a // p**i % p + sign * (b // p**i % p)) % p * p**i for i in range(e))
+
+
+def _oracle_add(F, a, b):
+    return _digitwise(F.p, F.e, a, b, 1)
+
+
+def _oracle_sub(F, a, b):
+    return _digitwise(F.p, F.e, a, b, -1)
+
+
+def _oracle_neg(F, a):
+    return _digitwise(F.p, F.e, 0, a, -1)
+
+
 def test_tables_only_for_small_extension_fields():
     assert make_field(2, 10).q == _TABLE_MAX_Q
     assert make_field(2, 10)._log_exp is not None
     assert make_field(2, 11)._log_exp is None
     assert make_field(7)._log_exp is None  # GF(p) keeps its modular arithmetic
+    assert make_field(7)._zech is None
     assert _polynomial_oracle(2, 4)._log_exp is None
+    # p = 2 adds by XOR, so only odd p gets a Zech table.
+    assert make_field(2, 4)._zech is None and make_field(3, 6)._zech is not None
+    assert make_field(3, 7)._zech is None and _polynomial_oracle(3, 3)._zech is None
     # The tables are invisible to equality, hashing, repr and JSON.
-    F, O = make_field(2, 4), _polynomial_oracle(2, 4)
-    assert F == O and hash(F) == hash(O)
-    assert (repr(F), F.to_json()) == (repr(O), O.to_json())
+    for F, O in [(make_field(2, 4), _polynomial_oracle(2, 4)),
+                 (make_field(3, 3), _polynomial_oracle(3, 3))]:
+        assert F == O and hash(F) == hash(O)
+        assert (repr(F), F.to_json()) == (repr(O), O.to_json())
+    # 1 + g^n = 0 iff g^n = -1, and -1 = g^((q-1)/2) is the one element of
+    # order 2 in the cyclic group GF(q)*.
+    for p, e in [(3, 2), (3, 3), (5, 2), (7, 2), (3, 6), (31, 2)]:
+        F = make_field(p, e)
+        assert len(F._zech) == F.q - 1
+        assert [n for n, z in enumerate(F._zech) if z is None] == [(F.q - 1) // 2]
+    # A table-less odd-p field adds digitwise, and agrees with the tables.
+    for p, e in [(3, 3), (5, 2)]:
+        F, O = make_field(p, e), _polynomial_oracle(p, e)
+        for a in range(F.q):
+            assert [F.add(a, b) for b in range(F.q)] == [O.add(a, b) for b in range(F.q)]
+            assert [F.sub(a, b) for b in range(F.q)] == [O.sub(a, b) for b in range(F.q)]
+            assert F.neg(a) == O.neg(a)
 
 
 EXTENSIONS_TO_64 = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 6)]
@@ -141,6 +179,23 @@ def test_tables_match_polynomial_oracle_exhaustive(p, e):
         if a:
             assert F.inv(a) == O.inv(a)
             assert F.pow(a, -a) == O.pow(a, -a)  # one negative exponent per a
+        assert [F.add(a, b) for b in range(q)] == [_oracle_add(F, a, b) for b in range(q)]
+        assert [F.sub(a, b) for b in range(q)] == [_oracle_sub(F, a, b) for b in range(q)]
+        assert F.neg(a) == _oracle_neg(F, a)
+
+
+TABLED_EXTENSIONS = [(p, e) for p in range(2, 32) if _trial_division_is_prime(p)
+                     for e in range(2, 11) if p**e <= _TABLE_MAX_Q]
+
+
+@pytest.mark.parametrize("p,e", TABLED_EXTENSIONS)
+def test_every_zech_entry_matches_digitwise_oracle(p, e):
+    # add(1, g^n) reads zech[n], so x over every nonzero element reads
+    # every entry of the table.
+    F = make_field(p, e)
+    assert F._log_exp is not None
+    assert [F.add(1, x) for x in range(F.q)] == [_oracle_add(F, 1, x) for x in range(F.q)]
+    assert [F.neg(x) for x in range(F.q)] == [_oracle_neg(F, x) for x in range(F.q)]
 
 
 NEAR_TABLE_MAX_Q = [(2, 10), (2, 9), (3, 6), (5, 4), (31, 2), (29, 2), (7, 3)]
@@ -153,9 +208,22 @@ def test_tables_match_polynomial_oracle_near_table_max_q(pe, data):
     a, b = data.draw(st.integers(0, F.q - 1)), data.draw(st.integers(0, F.q - 1))
     n = data.draw(st.integers(-3 * F.q, 3 * F.q))
     assert F.mul(a, b) == O.mul(a, b)
+    assert (F.add(a, b), F.sub(a, b), F.neg(a)) == (
+        _oracle_add(F, a, b), _oracle_sub(F, a, b), _oracle_neg(F, a))
     if b:
         assert F.inv(b) == O.inv(b)
         assert F.pow(b, n) == O.pow(b, n)
+
+
+@pytest.mark.parametrize("p,e", [(2, 11), (2, 61), (3, 7)])
+def test_untabled_add_matches_digitwise_oracle(p, e):
+    F = make_field(p, e)
+    assert F._log_exp is None
+    rng = random.Random(p * e)
+    for _ in range(300):
+        a, b = rng.randrange(F.q), rng.randrange(F.q)
+        assert (F.add(a, b), F.sub(a, b), F.neg(a)) == (
+            _oracle_add(F, a, b), _oracle_sub(F, a, b), _oracle_neg(F, a))
 
 
 def test_gf2_add():
