@@ -8,7 +8,6 @@ from .multipoly import (
     PolyMatrix,
     monomials_upto,
     term_key,
-    weight,
 )
 from .superreg import (
     ConstMatrix,
@@ -16,7 +15,6 @@ from .superreg import (
     SuperregularityReport,
     cauchy_matrix,
     is_superregular,
-    left_nullspace,
     nullspace,
     random_superregular,
     rank,
@@ -54,9 +52,9 @@ from .distance import (
 
 __all__ = [
     "FiniteField", "GaloisError", "make_field",
-    "NEG_INF", "Polynomial", "PolyMatrix", "monomials_upto", "term_key", "weight",
+    "NEG_INF", "Polynomial", "PolyMatrix", "monomials_upto", "term_key",
     "ConstMatrix", "SearchExhaustedError", "SuperregularityReport",
-    "cauchy_matrix", "is_superregular", "left_nullspace", "nullspace",
+    "cauchy_matrix", "is_superregular", "nullspace",
     "random_superregular", "rank",
     "CERTIFIED_DISTANCE", "CERTIFIED_MDS", "MD_STAIRCASE_BOUND", "NOT_CERTIFIED", "RATE_1N",
     "STAIRCASE_KN", "CodeDescriptor", "ConstructionError", "FieldTooSmallError",

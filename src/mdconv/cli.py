@@ -4,14 +4,14 @@ Exit codes: 0 success / property verified; 1 property failed (not
 superregular, below_bound true, not CERTIFIED_MDS); 2 usage or parameter
 error; 3 construction infeasible (field too small, search exhausted).
 All randomness derives from --seed; identical invocations print identical
-bytes.
+bytes.  `--message` takes any JSON text, a negative number such as -1e5
+included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .galois import json_list, make_field
@@ -54,14 +54,6 @@ def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _default_workers() -> int:
-    value = os.environ.get("MDCONV_WORKERS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"MDCONV_WORKERS must be an integer, got {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-i", "--input", required=True, help="code JSON file")
     p.add_argument("--cap", type=int, help="message total-degree cap (default depends on k)")
     p.add_argument("--stop-below", type=int, help="stop at the first codeword lighter than this")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
 
     sub.add_parser("selftest", help="run the lemma and identity property suites")
     return ap
@@ -174,7 +166,7 @@ def _cmd_certify(args, pretty) -> int:
 def _cmd_witness(args, pretty) -> int:
     code = CodeDescriptor.from_json(_load_json(args.input))
     message, codeword, w = singleton_witness(code)
-    bound = singleton_bound(code.m, code.k, code.n, code.external_degree())
+    bound = singleton_bound(code.m, code.k, code.n, code.generator.external_degree())
     _dump(
         {
             "message": [p.to_json() for p in message.entries[0]],
@@ -200,13 +192,11 @@ def _cmd_encode(args, pretty) -> int:
 
 def _cmd_distance(args, pretty) -> int:
     code = CodeDescriptor.from_json(_load_json(args.input))
-    cap = args.cap if args.cap is not None else default_cap(code.k, code.external_degree())
-    workers = args.workers if args.workers is not None else _default_workers()
-    report = free_distance_estimate(
-        code.generator, cap, stop_below=args.stop_below, workers=workers
-    )
+    G = code.generator
+    cap = args.cap if args.cap is not None else default_cap(code.k, G.external_degree())
+    report = free_distance_estimate(G, cap, stop_below=args.stop_below, workers=args.workers)
     out = report.to_json()
-    out["weight_profile"] = codeword_weight_profile(code.generator)
+    out["weight_profile"] = codeword_weight_profile(G)
     _dump(out, pretty)
     return EXIT_PROPERTY_FAILED if report.below_bound else EXIT_OK
 
@@ -242,8 +232,12 @@ def _cmd_selftest(args, pretty) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a JSON value such as -1e5 for an option; bind it to its flag.
+    if "--message" in argv[:-1]:
+        i = argv.index("--message")
+        argv[i:i + 2] = [f"--message={argv[i + 1]}"]
+    args = build_parser().parse_args(argv)
     handlers = {
         "bound": _cmd_bound,
         "construct": _cmd_construct,

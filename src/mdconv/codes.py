@@ -25,7 +25,7 @@ a source is never scanned before it is lifted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .galois import FiniteField, json_get, json_int
@@ -96,20 +96,15 @@ class CodeDescriptor:
     k: int
     n: int
     generator: PolyMatrix
-    declared_row_degrees: tuple[int, ...] = dc_field(init=False)
 
     def __post_init__(self):
         G = self.generator
         if (G.rows, G.cols) != (self.k, self.n) or G.field != self.field or G.m != self.m:
             raise ValueError("generator matrix does not match the declared dimensions")
-        object.__setattr__(self, "declared_row_degrees", tuple(G.row_degrees()))
 
     @staticmethod
     def from_generator(G: PolyMatrix) -> "CodeDescriptor":
         return CodeDescriptor(G.field, G.m, G.rows, G.cols, G)
-
-    def external_degree(self) -> int:
-        return self.generator.external_degree()
 
     def to_json(self) -> dict:
         return {
@@ -416,8 +411,7 @@ def singleton_witness(code: CodeDescriptor) -> tuple[PolyMatrix, PolyMatrix, int
                 for r in block
             ),
         )
-        basis = superreg.left_nullspace(const_block)
-        u_tilde = basis[0]
+        u_tilde = superreg.nullspace(const_block.transpose())[0]
 
     coeffs = [0] * k
     for r, c in zip(block, u_tilde):

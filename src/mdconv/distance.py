@@ -1,18 +1,19 @@
 """Encoding and a bounded brute-force oracle for the free distance.
 
-The oracle enumerates every nonzero message of total degree at most a cap
-D, modulo two weight-preserving symmetries (leading-coefficient scaling
-and monomial shifts), and reports the minimum codeword weight found with
-its witness.  Since only a subset of messages is covered, the result
-always satisfies min_weight_found >= d_free(C).
+The oracle enumerates every normalized message of total degree at most a
+cap D and reports the minimum codeword weight found with its witness.  A
+message is normalized when its first nonzero coefficient is 1 and, for
+every variable, some nonzero coefficient sits at a monomial free of that
+variable; every nonzero message is a scaled monomial shift of a
+normalized one with the same weight.  Since only messages up to the cap
+are covered, the result always satisfies min_weight_found >= d_free(C).
 
 Messages are enumerated in a fixed order: by stratum, the flat index of
-the first nonzero coefficient (component-major, terms in canonical
-order), ascending; then by the value of that leading coefficient; then
-with the tail coefficients counting up in base q.  The search is one
-stream of equal batches in this order, reduced in order and ended at the
-first batch that stops, which makes reports deterministic and independent
-of the worker count and batch size.
+the leading 1 (component-major, terms in canonical order), ascending;
+then with the tail coefficients counting up in base q.  The search is
+one stream of equal batches in this order, reduced in order and ended at
+the first batch that stops, which makes reports deterministic and
+independent of the worker count and batch size.
 
 Codewords are computed in batches by one numpy matrix product over the
 prime subfield GF(p), for every field GF(p^e).  Each message coefficient
@@ -75,10 +76,10 @@ def codeword_weight_profile(G: PolyMatrix) -> list[tuple[int, int]]:
 class _Enumerator:
     """Shared geometry, encode map and batch order for one search."""
 
-    def __init__(self, G: PolyMatrix, cap: int, normalize: bool, stop_below: Optional[int]):
+    def __init__(self, G: PolyMatrix, cap: int, stop_below: Optional[int]):
         import numpy as np
 
-        self.normalize, self.stop_below = normalize, stop_below
+        self.stop_below = stop_below
         self.F = F = G.field
         self.k, self.n, self.m = G.rows, G.cols, G.m
         self.monomials = monomials_upto(cap, self.m)
@@ -122,7 +123,7 @@ class _Enumerator:
                         M[r:r + e, c:c + e] = block
         self.M = M
         # Flat coefficient positions whose monomial has exponent 0 in each
-        # variable, for the monomial-shift normalization.
+        # variable: a normalized message is nonzero at one of each.
         self.zero_exp_positions = [
             np.array(
                 [j * self.s + a for j in range(self.k)
@@ -153,16 +154,14 @@ class _Enumerator:
         return np.count_nonzero(W.reshape(len(C), self.n * self.T, e).any(axis=2), axis=1)
 
     def batches(self):
-        """Ranges `(p0, lead, start, stop)` of the tail counter, in
-        enumeration order; each holds at most the rows `_BATCH_ELEMENTS`
-        allows, and at least one."""
-        q = self.F.q
+        """Ranges `(p0, start, stop)` of the tail counter, in enumeration
+        order; each holds at most the rows `_BATCH_ELEMENTS` allows, and at
+        least one."""
         rows = max(1, _BATCH_ELEMENTS // max(1, self.n * self.T * self.F.e))
         for p0 in range(self.dim):
-            total = q ** (self.dim - 1 - p0)
-            for lead in [1] if self.normalize else range(1, q):
-                for start in range(0, total, rows):
-                    yield p0, lead, start, min(start + rows, total)
+            total = self.F.q ** (self.dim - 1 - p0)
+            for start in range(0, total, rows):
+                yield p0, start, min(start + rows, total)
 
     def scan(self, batch) -> tuple[Optional[int], Optional[tuple[int, ...]], int, bool]:
         """Encode one batch: (min weight or None, witness, messages counted,
@@ -175,19 +174,18 @@ class _Enumerator:
         """
         import numpy as np
 
-        p0, lead, start, stop = batch
+        p0, start, stop = batch
         q = self.F.q
         rem = np.arange(start, stop, dtype=np.int64)
         C = np.zeros((len(rem), self.dim), dtype=np.int64)
-        C[:, p0] = lead
+        C[:, p0] = 1
         for d in range(self.dim - 1, p0, -1):
             C[:, d] = rem % q
             rem //= q
-        if self.normalize:
-            keep = np.ones(len(C), dtype=bool)
-            for pos in self.zero_exp_positions:
-                keep &= C[:, pos].any(axis=1)
-            C = C[keep]
+        keep = np.ones(len(C), dtype=bool)
+        for pos in self.zero_exp_positions:
+            keep &= C[:, pos].any(axis=1)
+        C = C[keep]
         if not len(C):
             return None, None, 0, False
         w = self.weights(C)
@@ -206,10 +204,9 @@ def free_distance_estimate(
     cap: int,
     stop_below: Optional[int] = None,
     workers: int = 1,
-    normalize: bool = True,
 ) -> DistanceReport:
-    """Minimum codeword weight over all nonzero messages of total degree
-    <= cap, modulo scaling and monomial-shift symmetries.
+    """Minimum codeword weight over the normalized messages of total
+    degree <= cap; `messages_tried` counts normalized messages only.
 
     With `stop_below`, the search stops at the first codeword (in
     enumeration order) of weight below it: that codeword is the witness,
@@ -227,7 +224,7 @@ def free_distance_estimate(
         raise ValueError("degree cap must be >= 0")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    enum = _Enumerator(G, cap, normalize, stop_below)
+    enum = _Enumerator(G, cap, stop_below)
     batches = enum.batches()
     pool = None
     if workers > 1:

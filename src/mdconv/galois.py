@@ -262,10 +262,6 @@ class FiniteField:
                 acc = self.mul(acc, a)
         return acc
 
-    def elements(self) -> range:
-        """All q element codes in ascending order."""
-        return range(self.q)
-
     def to_json(self) -> dict:
         out: dict = {"p": self.p, "e": self.e}
         if self.e > 1:

@@ -11,7 +11,7 @@ flattening) is ascending lexicographic on the reversed exponent tuple
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Sequence
 
 from .galois import FiniteField, GaloisError, json_int, json_list
@@ -32,9 +32,9 @@ def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
     """All exponent vectors of total degree <= `degree`, in canonical order."""
     if degree < 0 or m < 1:
         raise ValueError(f"need degree >= 0 and m >= 1, got ({degree}, {m})")
-    exps = [a for a in product(range(degree + 1), repeat=m) if sum(a) <= degree]
-    exps.sort(key=term_key)
-    return exps
+    if m == 1:
+        return [(a,) for a in range(degree + 1)]
+    return [rest + (a,) for a in range(degree + 1) for rest in monomials_upto(degree - a, m - 1)]
 
 
 @dataclass(frozen=True)
@@ -125,13 +125,6 @@ class Polynomial:
                 terms[g] = F.add(terms.get(g, 0), F.mul(ca, cb))
         return Polynomial(F, self.m, terms)
 
-    def scale(self, c: int) -> "Polynomial":
-        return self * Polynomial.constant(self.field, self.m, c)
-
-    def shift(self, alpha: ExponentVector) -> "Polynomial":
-        """Multiply by the monomial z^alpha."""
-        return self * Polynomial.monomial(self.field, alpha)
-
     # -- protocol --------------------------------------------------------
 
     def __hash__(self) -> int:
@@ -201,9 +194,6 @@ class PolyMatrix:
         one = Polynomial.constant(field, m, 1)
         zero = Polynomial.zero(field, m)
         return PolyMatrix(field, m, [[one if i == j else zero for j in range(k)] for i in range(k)])
-
-    def __getitem__(self, idx: tuple[int, int]) -> Polynomial:
-        return self.entries[idx[0]][idx[1]]
 
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(map(repr, row)) + "]" for row in self.entries)
@@ -302,8 +292,3 @@ def _det_cofactor(M: PolyMatrix, cols: tuple[int, ...], memo: dict) -> Polynomia
         acc = acc + (term if j % 2 == 0 else -term)
     memo[cols] = acc
     return acc
-
-
-def weight(v: PolyMatrix) -> int:
-    """Weight of a polynomial row vector (or any matrix): total term count."""
-    return v.weight()

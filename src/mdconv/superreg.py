@@ -201,7 +201,3 @@ def nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
         basis.append(tuple(v))
     return basis
 
-
-def left_nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
-    return nullspace(A.transpose())
-

@@ -202,7 +202,7 @@ def test_criterion_7_witness_suite():
             continue
         code = CodeDescriptor.from_generator(G)
         _, _, w = singleton_witness(code)
-        assert w <= singleton_bound(m, k, n, code.external_degree())
+        assert w <= singleton_bound(m, k, n, code.generator.external_degree())
         done += 1
     _report(7, "witness weight within the bound on 500 random full-rank generators")
 

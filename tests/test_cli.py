@@ -247,34 +247,13 @@ def test_byte_identical_reruns(tmp_path):
     assert d1.stdout == d2.stdout
 
 
-def test_workers_env_override(tmp_path):
-    out = tmp_path / "code.json"
-    run_cli("construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1", "-o", str(out))
-    import os
-
-    env = dict(os.environ, MDCONV_WORKERS="4")
-    a = run_cli("distance", "-i", str(out), "--cap", "2")
-    b = subprocess.run(
-        [sys.executable, "-m", "mdconv.cli", "distance", "-i", str(out), "--cap", "2"],
-        capture_output=True, text=True, env=env,
-    )
-    assert a.stdout == b.stdout
-
-
 def test_distance_workers_below_one_exit_2(tmp_path):
     out = tmp_path / "code.json"
     run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1", "-o", str(out))
-    cases = [
-        (["--workers", "0"], {}, "error: workers must be at least 1, got 0\n"),
-        (["--workers", "-2"], {}, "error: workers must be at least 1, got -2\n"),
-        ([], {"MDCONV_WORKERS": "0"}, "error: workers must be at least 1, got 0\n"),
-        ([], {"MDCONV_WORKERS": "two"},
-         "error: MDCONV_WORKERS must be an integer, got 'two'\n"),
-    ]
-    for flags, env, stderr in cases:
-        res = run_cli("distance", "-i", str(out), "--cap", "1", *flags,
-                      env=dict(os.environ, **env))
-        assert (res.returncode, res.stdout, res.stderr) == (2, "", stderr)
+    for workers in ("0", "-2"):
+        res = run_cli("distance", "-i", str(out), "--cap", "1", "--workers", workers)
+        assert (res.returncode, res.stdout, res.stderr) == (
+            2, "", f"error: workers must be at least 1, got {workers}\n")
 
 
 def test_selftest():
@@ -400,6 +379,18 @@ def test_malformed_json_exits_cleanly(cmd, data):
         # One line that describes the input, not a bare KeyError repr.
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert not err.startswith("error: '")
+
+
+def test_negative_number_message_reaches_the_json_reader(tmp_path):
+    # argparse would take -1e5 for an option and exit outside `main`'s handler.
+    _, out, _ = _main_in_process(["construct", "--p", "7", "--m", "1", "--n", "2",
+                                  "--delta", "1"])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(json.loads(out)["code"]))
+    tiny = "-2.2250738585072014e-308"
+    for message, shown in [("-1e5", "-100000.0"), (tiny, tiny), ("-1", "-1")]:
+        assert _main_in_process(["encode", "-i", str(path), "--message", message]) == (
+            2, "", f"error: expected a list, got {shown}\n")
 
 
 def test_json_shape_errors_name_the_input(tmp_path):

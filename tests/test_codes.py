@@ -473,7 +473,7 @@ def _zero_row_code():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = CodeDescriptor.from_generator(G)
-    assert code.declared_row_degrees == (0, NEG_INF)
+    assert code.generator.row_degrees() == [0, NEG_INF]
     return code
 
 
@@ -605,7 +605,7 @@ def test_certified_minimal_row_weight_equals_distance():
         construct_mds_rate_1n(F7, 2, 3, 1),
         construct_mds_staircase(F17, 2, 2, 5, 1),
     ]:
-        min_row = min(range(code.k), key=lambda i: code.declared_row_degrees[i])
+        min_row = min(range(code.k), key=lambda i: code.generator.row_degrees()[i])
         w = sum(p.weight() for p in code.generator.entries[min_row])
         assert w == cert.certified_distance
 
@@ -666,7 +666,7 @@ def test_witness_weight_never_exceeds_bound():
             continue
         code = CodeDescriptor.from_generator(G)
         _, _, w = singleton_witness(code)
-        assert w <= singleton_bound(m, k, n, code.external_degree())
+        assert w <= singleton_bound(m, k, n, code.generator.external_degree())
         done += 1
 
 
@@ -683,7 +683,7 @@ def test_code_descriptor_from_json_rejects_non_integers(key, bad):
 
 def test_code_descriptor_validates_and_round_trips():
     code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
-    assert code.declared_row_degrees == (1,)
+    assert code.generator.row_degrees() == [1]
     assert CodeDescriptor.from_json(code.to_json()) == code
     with pytest.raises(ValueError):
         CodeDescriptor(F7, 2, 2, 3, code.generator)

@@ -293,12 +293,6 @@ def test_pow_mul_count_and_values(p, e, monkeypatch):
             expected = mul(F, expected, a)
 
 
-def test_enumerate_elements():
-    assert list(make_field(2).elements()) == [0, 1]
-    assert list(make_field(5).elements()) == [0, 1, 2, 3, 4]
-    assert list(make_field(2, 2).elements()) == [0, 1, 2, 3]
-
-
 FIELDS_TO_64 = [
     (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (17, 1), (19, 1),
     (23, 1), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1), (53, 1),

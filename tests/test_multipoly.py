@@ -12,8 +12,8 @@ from mdconv.multipoly import (
     PolyMatrix,
     monomials_upto,
     term_key,
-    weight,
 )
+from mdconv.codes import support_count
 from mdconv.superreg import ConstMatrix, det
 
 F2 = make_field(2)
@@ -64,14 +64,14 @@ def test_weight_examples():
         P(F2, 2, {(0, 1): 1}),
         Polynomial.zero(F2, 2),
     ]])
-    assert weight(v) == 3
-    assert weight(PolyMatrix(F2, 2, [[Polynomial.zero(F2, 2)] * 3])) == 0
+    assert v.weight() == 3
+    assert PolyMatrix(F2, 2, [[Polynomial.zero(F2, 2)] * 3]).weight() == 0
     v7 = PolyMatrix(F7, 2, [[
         P(F7, 2, {(0, 0): 2, (1, 0): 3, (0, 1): 6}),
         P(F7, 2, {(0, 0): 5, (1, 0): 2, (0, 1): 3}),
         P(F7, 2, {(0, 0): 4, (1, 0): 5, (0, 1): 2}),
     ]])
-    assert weight(v7) == 9
+    assert v7.weight() == 9
 
 
 def worked_example_matrix():
@@ -183,12 +183,13 @@ def test_weight_invariance_under_scaling_and_shift():
         field = rng.choice([F3, F5, F7])
         m = rng.choice([1, 2])
         v = PolyMatrix(field, m, [[_random_poly(rng, field, m, 2) for _ in range(3)]])
-        c = rng.randrange(1, field.q)
-        scaled = PolyMatrix(field, m, [[p.scale(c) for p in v.entries[0]]])
-        assert weight(scaled) == weight(v)
+        c = Polynomial.constant(field, m, rng.randrange(1, field.q))
+        scaled = PolyMatrix(field, m, [[p * c for p in v.entries[0]]])
+        assert scaled.weight() == v.weight()
         alpha = tuple(rng.randrange(3) for _ in range(m))
-        shifted = PolyMatrix(field, m, [[p.shift(alpha) for p in v.entries[0]]])
-        assert weight(shifted) == weight(v)
+        z = Polynomial.monomial(field, alpha)
+        shifted = PolyMatrix(field, m, [[p * z for p in v.entries[0]]])
+        assert shifted.weight() == v.weight()
 
 
 def test_weight_subadditive():
@@ -199,7 +200,7 @@ def test_weight_subadditive():
         u = PolyMatrix(field, m, [[_random_poly(rng, field, m, 2) for _ in range(3)]])
         v = PolyMatrix(field, m, [[_random_poly(rng, field, m, 2) for _ in range(3)]])
         s = PolyMatrix(field, m, [[a + b for a, b in zip(u.entries[0], v.entries[0])]])
-        assert weight(s) <= weight(u) + weight(v)
+        assert s.weight() <= u.weight() + v.weight()
 
 
 def _random_full_rank_matrix(rng, field, m, k, n, degree):
@@ -253,6 +254,16 @@ def test_canonical_term_order_matches_last_variable_recursion():
     assert monomials_upto(1, 2) == [(0, 0), (1, 0), (0, 1)]
     assert monomials_upto(2, 2) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (0, 2)]
     assert sorted([(1, 1), (0, 2), (2, 0)], key=term_key) == [(2, 0), (1, 1), (0, 2)]
+
+
+def test_monomials_upto_matches_product_filter_sort():
+    for m in range(1, 5):
+        for d in range(7):
+            oracle = sorted((a for a in product(range(d + 1), repeat=m) if sum(a) <= d),
+                            key=term_key)
+            got = monomials_upto(d, m)
+            assert got == oracle
+            assert len(got) == support_count(d, m)
 
 
 def test_json_round_trip():
