@@ -4,8 +4,8 @@ Exit codes: 0 success / property verified; 1 property failed (not
 superregular, below_bound true, not CERTIFIED_MDS); 2 usage or parameter
 error; 3 construction infeasible (field too small, search exhausted).
 All randomness derives from --seed; identical invocations print identical
-bytes.  `--message` takes any JSON text, a negative number such as -1e5
-included.
+bytes.  `--message`, however abbreviated, takes any JSON text, a negative
+number such as -1e5 included.
 """
 
 from __future__ import annotations
@@ -233,10 +233,11 @@ def _cmd_selftest(args, pretty) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse takes a JSON value such as -1e5 for an option; bind it to its flag.
-    if "--message" in argv[:-1]:
-        i = argv.index("--message")
-        argv[i:i + 2] = [f"--message={argv[i + 1]}"]
+    # argparse takes a JSON value such as -1e5 for an option; bind it to its (abbreviated) flag.
+    for i, arg in enumerate(argv[:-1]):
+        if len(arg) > 2 and "--message".startswith(arg):
+            argv[i:i + 2] = [f"{arg}={argv[i + 1]}"]
+            break
     args = build_parser().parse_args(argv)
     handlers = {
         "bound": _cmd_bound,

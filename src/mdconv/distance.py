@@ -15,27 +15,35 @@ one stream of equal batches in this order, reduced in order and ended at
 the first batch that stops, which makes reports deterministic and
 independent of the worker count and batch size.
 
-Codewords are computed in batches by one numpy matrix product over the
-prime subfield GF(p), for every field GF(p^e).  Each message coefficient
-is expanded to its e base-p digits (its power-basis coordinates, see
+Codewords are computed over the prime subfield GF(p), for every field
+GF(p^e), by one int64 matrix product: each message coefficient is
+expanded to its e base-p digits (its power-basis coordinates, see
 `galois`), each generator coefficient g to the e x e GF(p) matrix of
 x -> g*x, and a codeword coefficient is nonzero iff one of its e digits
-is.  Prime fields are the case e = 1.  numpy is imported on first use,
-and the thread pool only for workers > 1, so `import mdconv` pays for
-neither.  A pool encodes one window of batches at a time, so memory does
-not grow with the search space and a stop wastes at most one window.
+is.  Prime fields are the case e = 1.  The product is linear, so for a
+tail counter x = h*q^L + l the codeword digits are a high row (the
+leading 1 and h) plus a low row (l in the last L positions), added in the
+smallest unsigned dtype that holds 2(p - 1).  The q^L low rows, with the
+largest L that keeps them within `_BATCH_ELEMENTS` digits, are tabled
+once per search, and a batch encodes only its distinct h; so the table
+and each batch hold at most `_BATCH_ELEMENTS` digits (or one row),
+whatever q.  numpy is imported on first use, and the thread pool only for
+workers > 1, so `import mdconv` pays for neither.  A pool encodes one
+window of batches at a time, so memory does not grow with the search
+space and a stop wastes at most one window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
 from typing import Optional
 
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
 
-#: Most int64 codeword digits (rows x n*T*e) one batch holds, which bounds
-#: the working set whatever the code's length.
+#: Most codeword digits (rows x n*T*e) one batch, or the low-part table,
+#: holds, which bounds the working set whatever the code's length and q.
 _BATCH_ELEMENTS = 1 << 14
 #: Batches handed to a pool of workers > 1 at once.
 _WINDOW = 64
@@ -104,24 +112,24 @@ class _Enumerator:
                 f"distance search over {F!r} with {self.dim} message coefficients "
                 "would overflow int64 arithmetic"
             )
-        self.powers = p ** np.arange(e, dtype=np.int64)
 
         def mul_block(g: int) -> list[list[int]]:
             # Row i: the digits of g * x^i, the image of the i-th basis element.
             return [[F.mul(g, p**i) // p**j % p for j in range(e)] for i in range(e)]
 
         # Linear encode map over GF(p): the e message digits of coefficient
-        # (j, alpha) -> the e codeword digits of coefficient (i, alpha + beta).
-        M = np.zeros((self.dim * e, self.n * self.T * e), dtype=np.int64)
+        # (j, alpha) -> digit d of codeword coefficient (i, alpha + beta), in
+        # column d*n*T + i*T + t (digit-major).
+        M = np.zeros((self.dim * e, e, self.n * self.T), dtype=np.int64)
         for j, row in enumerate(G.entries):
             for i, poly in enumerate(row):
                 for beta, cf in poly.terms.items():
                     block = mul_block(cf)
                     for a, alpha in enumerate(self.monomials):
                         r = (j * self.s + a) * e
-                        c = (i * self.T + out_idx[tuple(x + y for x, y in zip(alpha, beta))]) * e
-                        M[r:r + e, c:c + e] = block
-        self.M = M
+                        c = i * self.T + out_idx[tuple(x + y for x, y in zip(alpha, beta))]
+                        M[r:r + e, :, c] = block
+        self.M = M.reshape(self.dim * e, -1)
         # Flat coefficient positions whose monomial has exponent 0 in each
         # variable: a normalized message is nonzero at one of each.
         self.zero_exp_positions = [
@@ -132,40 +140,51 @@ class _Enumerator:
             )
             for v in range(self.m)
         ]
+        # Rows per batch, and Q = q^L low parts (the last L < dim positions).
+        self.rows = max(1, _BATCH_ELEMENTS // max(1, self.M.shape[1]))
+        self.Q = max(F.q**L for L in range(self.dim) if F.q**L <= self.rows)
+        self.low, self.low_ok = self.codewords(range(self.Q), None)
 
-    def message_from_vector(self, c) -> PolyMatrix:
+    def codewords(self, x, lead: Optional[int]):
+        """Codeword digits of the messages with tail counters x after a 1 at
+        `lead`, and per variable whether each has a nonzero term free of it."""
+        import numpy as np
+
+        p, e = self.F.p, self.F.e
+        C = np.zeros((len(x), self.dim), dtype=np.int64)
+        rem = np.array(x, dtype=np.int64)
+        for d in range(self.dim - 1, -1 if lead is None else lead, -1):
+            rem, C[:, d] = np.divmod(rem, self.F.q)
+        if lead is not None:
+            C[:, lead] = 1
+        digits = C[:, :, None] // p ** np.arange(e, dtype=np.int64)
+        digits %= p
+        W = digits.reshape(len(C), self.dim * e) @ self.M
+        W %= p
+        ok = [C[:, pos].any(axis=1) for pos in self.zero_exp_positions]
+        return W.astype(np.min_scalar_type(2 * (p - 1))), ok
+
+    def message(self, p0: int, x: int) -> PolyMatrix:
+        q = self.F.q
+        c = [0] * p0 + [1] + [x // q**d % q for d in reversed(range(self.dim - 1 - p0))]
         polys = [
             Polynomial(self.F, self.m, {
-                alpha: int(c[j * self.s + a]) for a, alpha in enumerate(self.monomials)
+                alpha: c[j * self.s + a] for a, alpha in enumerate(self.monomials)
             })
             for j in range(self.k)
         ]
         return PolyMatrix(self.F, self.m, [polys])
 
-    def weights(self, C):
-        """Codeword weight of each row of the q-ary coefficient matrix C."""
-        import numpy as np
-
-        p, e = self.F.p, self.F.e
-        digits = C[:, :, None] // self.powers
-        digits %= p
-        W = digits.reshape(len(C), self.dim * e) @ self.M
-        W %= p
-        return np.count_nonzero(W.reshape(len(C), self.n * self.T, e).any(axis=2), axis=1)
-
     def batches(self):
-        """Ranges `(p0, start, stop)` of the tail counter, in enumeration
-        order; each holds at most the rows `_BATCH_ELEMENTS` allows, and at
-        least one."""
-        rows = max(1, _BATCH_ELEMENTS // max(1, self.n * self.T * self.F.e))
+        """Ranges `(p0, start, stop)` of the tail counter in enumeration order."""
         for p0 in range(self.dim):
             total = self.F.q ** (self.dim - 1 - p0)
-            for start in range(0, total, rows):
-                yield p0, start, min(start + rows, total)
+            for start in range(0, total, self.rows):
+                yield p0, start, min(start + self.rows, total)
 
-    def scan(self, batch) -> tuple[Optional[int], Optional[tuple[int, ...]], int, bool]:
-        """Encode one batch: (min weight or None, witness, messages counted,
-        stopped).
+    def scan(self, batch) -> tuple[Optional[int], Optional[tuple[int, int]], int, bool]:
+        """Encode one batch: (min weight or None, witness `(p0, x)`,
+        messages counted, stopped).
 
         With `stop_below`, the scan ends at the batch's first message whose
         weight is below it; that message is the witness and the last one
@@ -175,28 +194,27 @@ class _Enumerator:
         import numpy as np
 
         p0, start, stop = batch
-        q = self.F.q
-        rem = np.arange(start, stop, dtype=np.int64)
-        C = np.zeros((len(rem), self.dim), dtype=np.int64)
-        C[:, p0] = 1
-        for d in range(self.dim - 1, p0, -1):
-            C[:, d] = rem % q
-            rem //= q
-        keep = np.ones(len(C), dtype=bool)
-        for pos in self.zero_exp_positions:
-            keep &= C[:, pos].any(axis=1)
-        C = C[keep]
-        if not len(C):
+        x = np.arange(start, stop, dtype=np.int64)
+        h, l = np.divmod(x, self.Q)
+        h -= start // self.Q
+        high, high_ok = self.codewords(range(start - start % self.Q, stop, self.Q), p0)
+        keep = np.logical_and.reduce([hv[h] | lv[l] for hv, lv in zip(high_ok, self.low_ok)])
+        x, h, l = x[keep], h[keep], l[keep]
+        if not len(x):
             return None, None, 0, False
-        w = self.weights(C)
+        W = np.take(high, h, axis=0)
+        W += np.take(self.low, l, axis=0)
+        # Each digit sum is below 2p, so it is zero mod p iff it is 0 or p.
+        nz = (W != 0) & (W != self.F.p)
+        w = np.count_nonzero(reduce(np.logical_or, np.hsplit(nz, self.F.e)), axis=1)
         if self.stop_below is not None:
             hits = np.flatnonzero(w < self.stop_below)
             if len(hits):
                 # Every earlier message weighed at least stop_below.
                 f = int(hits[0])
-                return int(w[f]), tuple(int(x) for x in C[f]), f + 1, True
+                return int(w[f]), (p0, int(x[f])), f + 1, True
         i = int(np.argmin(w))
-        return int(w[i]), tuple(int(x) for x in C[i]), len(C), False
+        return int(w[i]), (p0, int(x[i])), len(x), False
 
 
 def free_distance_estimate(
@@ -261,7 +279,7 @@ def free_distance_estimate(
         min_weight_found=best,
         cap=cap,
         messages_tried=tried,
-        witness_message=enum.message_from_vector(witness),
+        witness_message=enum.message(*witness),
         below_bound=below,
     )
 

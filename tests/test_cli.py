@@ -388,9 +388,11 @@ def test_negative_number_message_reaches_the_json_reader(tmp_path):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(json.loads(out)["code"]))
     tiny = "-2.2250738585072014e-308"
-    for message, shown in [("-1e5", "-100000.0"), (tiny, tiny), ("-1", "-1")]:
-        assert _main_in_process(["encode", "-i", str(path), "--message", message]) == (
-            2, "", f"error: expected a list, got {shown}\n")
+    # argparse accepts any unambiguous abbreviation of the flag.
+    for flag in ("--message", "--messag", "--mess", "--m"):
+        for message, shown in [("-1e5", "-100000.0"), (tiny, tiny), ("-1", "-1")]:
+            assert _main_in_process(["encode", "-i", str(path), flag, message]) == (
+                2, "", f"error: expected a list, got {shown}\n")
 
 
 def test_json_shape_errors_name_the_input(tmp_path):

@@ -12,6 +12,7 @@ from mdconv.codes import construct_mds_rate_1n
 from mdconv.superreg import ConstMatrix
 import mdconv.distance as distance
 from mdconv.distance import (
+    DistanceReport,
     _Enumerator,
     codeword_weight_profile,
     default_cap,
@@ -269,7 +270,8 @@ def test_int64_exactness_guard():
         free_distance_estimate(G, 2)
 
 
-FIELDS = [make_field(p, e) for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]]
+FIELDS = [make_field(p, e) for p, e in
+          [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (3, 3)]]
 
 
 @st.composite
@@ -306,6 +308,113 @@ def test_report_independent_of_workers_and_batch_size(code, stop_below):
     assert (rep.witness_message @ G).weight() == rep.min_weight_found
     if stop_below is not None:
         assert rep.below_bound == (rep.min_weight_found < stop_below)
+
+
+def _normalized_in_order(G, cap):
+    """Oracle: the normalized messages in enumeration order (by the position
+    of the leading 1, then with the tail counting up in base q), each with
+    its codeword weight."""
+    F, m, k = G.field, G.m, G.rows
+    exps = monomials_upto(cap, m)
+    s = len(exps)
+    for p0 in range(k * s):
+        for tail in product(range(F.q), repeat=k * s - 1 - p0):
+            coeffs = (0,) * p0 + (1,) + tail
+            support = [exps[i % s] for i, c in enumerate(coeffs) if c]
+            if all(any(alpha[v] == 0 for alpha in support) for v in range(m)):
+                u = PolyMatrix(F, m, [[Polynomial(F, m, dict(zip(exps, coeffs[j * s:(j + 1) * s])))
+                                       for j in range(k)]])
+                yield u, (u @ G).weight()
+
+
+def _expected_report(G, cap, stop_below=None):
+    """The report the search must give, from `_normalized_in_order`."""
+    best, tried = None, 0
+    for u, w in _normalized_in_order(G, cap):
+        tried += 1
+        if stop_below is not None and w < stop_below:
+            return DistanceReport(w, cap, tried, u, True)
+        if best is None or w < best[1]:
+            best = (u, w)
+    return DistanceReport(best[1], cap, tried, best[0], False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), st.sampled_from(["no table", "partial table", "default"]),
+       st.one_of(st.none(), st.integers(1, 12)))
+def test_split_kernel_matches_brute_force(code, table, stop_below):
+    G, cap = code
+    q = G.field.q
+    elements = {"no table": _batch_elements(G, cap, max(1, q - 1)),
+                "partial table": _batch_elements(G, cap, q + 1),
+                "default": distance._BATCH_ELEMENTS}[table]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "_BATCH_ELEMENTS", elements)
+        enum = _Enumerator(G, cap, stop_below)
+        rep = free_distance_estimate(G, cap, stop_below=stop_below)
+    if table == "no table":
+        assert enum.Q == 1
+    elif table == "partial table" and enum.dim > 1 and enum.M.shape[1]:
+        # Low parts of one position; batches of q + 1 rows straddle them.
+        assert enum.Q == q
+    assert rep == _expected_report(G, cap, stop_below)
+    assert (rep.witness_message @ G).weight() == rep.min_weight_found
+    if not rep.below_bound:
+        assert (rep.min_weight_found, rep.messages_tried) == _brute_force_min_weight(G, cap)
+
+
+def _column_sum_generator(F, total):
+    """A 2 x 3 constant generator over GF(p) whose rows c and d have
+    c_j + d_j = total <= 2p - 4, so for the message (1, 1) the high and low
+    digits of every codeword coefficient sum to `total`, nonzero mod p."""
+    c = [total - (F.q - 1) + j for j in range(3)]
+    return PolyMatrix(F, 1, [[Polynomial.constant(F, 1, x) for x in c],
+                             [Polynomial.constant(F, 1, total - x) for x in c]])
+
+
+@pytest.mark.parametrize("p,dtype,total", [(127, "uint8", 250), (131, "uint16", 256),
+                                           (257, "uint16", 508)])
+def test_digit_dtype_boundary_matches_brute_force(p, dtype, total):
+    F = make_field(p)
+    G = _column_sum_generator(F, total)
+    enum = _Enumerator(G, 0, None)
+    # The second coefficient is the low part, so every codeword is a sum of rows.
+    assert enum.Q == p and str(enum.low.dtype) == dtype
+    for stop_below in (None, 1, 2, 3):
+        assert free_distance_estimate(G, 0, stop_below) == _expected_report(G, 0, stop_below)
+
+
+def test_digit_dtype_above_two_to_the_fifteen(monkeypatch):
+    F = make_field(32771)
+    # Message (1, 1) sums digits to 2^16, which a uint16 sum would read as 0.
+    G = _column_sum_generator(F, 1 << 16)
+    for elements in (distance._BATCH_ELEMENTS, _batch_elements(G, 0, F.q)):
+        monkeypatch.setattr(distance, "_BATCH_ELEMENTS", elements)
+        enum = _Enumerator(G, 0, None)
+        assert str(enum.low.dtype) == "uint32"
+        rep = free_distance_estimate(G, 0)
+        # Every nonzero message up to scaling: (q^2 - 1) / (q - 1).
+        assert rep.messages_tried == F.q + 1
+        assert (rep.witness_message @ G).weight() == rep.min_weight_found
+    assert enum.Q == F.q
+
+
+def test_low_table_stays_within_batch_elements(monkeypatch):
+    rng = random.Random(71)
+    for F in FIELDS + [make_field(17), make_field(2, 5)]:
+        for m, cap in [(1, 3), (2, 1), (2, 2)]:
+            G = _random_generator(rng, F, m, rng.randrange(1, 3), rng.randrange(1, 4))
+            for elements in (1 << 8, 1 << 11, distance._BATCH_ELEMENTS):
+                monkeypatch.setattr(distance, "_BATCH_ELEMENTS", elements)
+                enum = _Enumerator(G, cap, None)
+                assert enum.low.size <= elements
+                # The largest table that fits: one more position would not.
+                assert enum.Q * F.q * enum.M.shape[1] > elements or enum.Q == F.q ** (enum.dim - 1)
+    monkeypatch.undo()
+    F = make_field(2**31 - 1)
+    G = PolyMatrix(F, 1, [[Polynomial(F, 1, {(0,): F.q - 1, (1,): F.q - 1})]])
+    enum = _Enumerator(G, 1, None)
+    assert enum.Q == 1 and enum.low.shape[0] == 1 and str(enum.low.dtype) == "uint32"
 
 
 def test_import_does_not_load_numpy():
