@@ -27,17 +27,14 @@ smallest unsigned dtype that holds 2(p - 1).  The q^L low rows, with the
 largest L that keeps them within `_BATCH_ELEMENTS` digits, are tabled
 once per search, and a batch encodes only its distinct h; so the table
 and each batch hold at most `_BATCH_ELEMENTS` digits (or one row),
-whatever q.  numpy is imported on first use, and the thread pool only for
-workers > 1, so `import mdconv` pays for neither.  A pool encodes one
-window of batches at a time, so memory does not grow with the search
-space and a stop wastes at most one window.
+whatever q.  numpy is imported on first use, so `import mdconv` does not
+pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import islice
 from typing import Optional
 
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
@@ -45,8 +42,6 @@ from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
 #: Most codeword digits (rows x n*T*e) one batch, or the low-part table,
 #: holds, which bounds the working set whatever the code's length and q.
 _BATCH_ELEMENTS = 1 << 14
-#: Batches handed to a pool of workers > 1 at once.
-_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -176,8 +171,12 @@ class _Enumerator:
         return PolyMatrix(self.F, self.m, [polys])
 
     def batches(self):
-        """Ranges `(p0, start, stop)` of the tail counter in enumeration order."""
-        for p0 in range(self.dim):
+        """Ranges `(p0, start, stop)` of the tail counter in enumeration order.
+
+        A stratum past the last zero-exponent position of some variable holds
+        no normalized message, and one up to it holds the all-(q - 1) tail.
+        """
+        for p0 in range(min(pos[-1] for pos in self.zero_exp_positions) + 1):
             total = self.F.q ** (self.dim - 1 - p0)
             for start in range(0, total, self.rows):
                 yield p0, start, min(start + self.rows, total)
@@ -230,9 +229,8 @@ def free_distance_estimate(
     enumeration order) of weight below it: that codeword is the witness,
     `messages_tried` counts up to it, and the report's `below_bound` flag is
     set.  Otherwise the witness is the first message (in enumeration order)
-    attaining the minimum.  Batches are reduced in enumeration order, so
-    results are identical for any `workers` count; workers > 1 encode the
-    batches of one window at a time on a thread pool.
+    attaining the minimum.  Every `workers` count runs the same
+    single-threaded search in enumeration order, so results are identical.
 
     Raises ValueError when `workers` < 1, or when the field is too large
     for exact int64 arithmetic (dim * e * (p - 1)^2 >= 2^63,
@@ -243,35 +241,17 @@ def free_distance_estimate(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     enum = _Enumerator(G, cap, stop_below)
-    batches = enum.batches()
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=workers)
-        results = (
-            res
-            for window in iter(lambda: list(islice(batches, _WINDOW)), [])
-            for res in pool.map(enum.scan, window)
-        )
-    else:
-        results = map(enum.scan, batches)
-
     best: Optional[int] = None
     witness = None
     tried = 0
     below = False
-    try:
-        for weight, vec, count, stopped in results:
-            tried += count
-            if weight is not None and (best is None or weight < best):
-                best, witness = weight, vec
-            if stopped:
-                below = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for weight, vec, count, stopped in map(enum.scan, enum.batches()):
+        tried += count
+        if weight is not None and (best is None or weight < best):
+            best, witness = weight, vec
+        if stopped:
+            below = True
+            break
 
     if best is None:
         raise ValueError("enumeration covered no messages (empty message space)")

@@ -189,12 +189,6 @@ class PolyMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    @staticmethod
-    def identity(field: FiniteField, m: int, k: int) -> "PolyMatrix":
-        one = Polynomial.constant(field, m, 1)
-        zero = Polynomial.zero(field, m)
-        return PolyMatrix(field, m, [[one if i == j else zero for j in range(k)] for i in range(k)])
-
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(map(repr, row)) + "]" for row in self.entries)
         return f"PolyMatrix({body})"
@@ -213,36 +207,13 @@ class PolyMatrix:
         """Sum of the row degrees, skipping zero rows."""
         return sum(d for d in self.row_degrees() if d != NEG_INF)
 
-    def determinant(self) -> Polynomial:
-        if self.rows != self.cols:
-            raise ValueError("determinant requires a square matrix")
-        return _det_cofactor(self, tuple(range(self.cols)), {})
-
-    def full_size_minors(self) -> list[tuple[tuple[int, ...], Polynomial]]:
-        """All C(n, k) maximal minors, paired with their column subsets."""
-        return list(self._minors())
-
-    def _minors(self):
-        """The maximal minors in lex order of column subset, one at a time."""
-        if self.rows > self.cols:
-            raise ValueError("full-size minors need rows <= cols")
-        memo: dict = {}
-        for cols in combinations(range(self.cols), self.rows):
-            yield cols, _det_cofactor(self, cols, memo)
-
-    def internal_degree(self):
-        """Max total degree among the full-size minors."""
-        return max(minor.total_degree() for _, minor in self._minors())
-
-    def is_unimodular(self) -> bool:
-        """True iff square with determinant a nonzero field constant."""
-        if self.rows != self.cols:
-            raise ValueError("unimodularity is defined for square matrices")
-        return self.determinant().total_degree() == 0
-
     def has_full_row_rank(self) -> bool:
         """True iff some maximal minor is nonzero; stops at the first one."""
-        return self.rows <= self.cols and any(not d.is_zero() for _, d in self._minors())
+        memo: dict = {}
+        return self.rows <= self.cols and any(
+            not _det_cofactor(self, cols, memo).is_zero()
+            for cols in combinations(range(self.cols), self.rows)
+        )
 
     # -- algebra ---------------------------------------------------------
 

@@ -44,14 +44,8 @@ class ConstMatrix:
     def cols(self) -> int:
         return len(self.entries[0])
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "ConstMatrix":
-        return ConstMatrix(self.field, tuple(tuple(self.entries[i][j] for j in cols) for i in rows))
-
     def transpose(self) -> "ConstMatrix":
         return ConstMatrix(self.field, tuple(zip(*self.entries)))
-
-    def permute_rows(self, perm: Sequence[int]) -> "ConstMatrix":
-        return ConstMatrix(self.field, tuple(self.entries[i] for i in perm))
 
     def to_json(self) -> dict:
         return {"field": self.field.to_json(), "entries": [list(r) for r in self.entries]}

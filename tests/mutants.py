@@ -1,0 +1,112 @@
+"""Mutation check: every mutant below must make its selected tests fail.
+
+Run from anywhere with `python tests/mutants.py`.  pytest does not collect
+this file, so tier-1 does not run it.
+
+A mutant is a named (file under src/mdconv, old text, new text, selector)
+tuple; a selector is a test file and a pytest `-k` expression.  For each
+mutant the runner copies `src/`, `tests/` and `pyproject.toml` into a
+temporary directory, replaces the old text, which must occur exactly once,
+and runs the selector there with `-x`.  A clean copy must first pass every
+selected test.  The runner exits 1 when an old text is not found once, or
+when a mutant survives (its tests pass).
+
+A mutant that no test can tell apart from the program (an equivalent
+mutant) is left out.  Example: `_BATCH_ELEMENTS = 1 << 13` changes only the
+batch and table sizes, and every size gives the same report.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DIST = "tests/test_distance.py"
+MUTANTS = [
+    ("digit dtype sized for p - 1", "distance.py",
+     "np.min_scalar_type(2 * (p - 1))", "np.min_scalar_type(p - 1)",
+     (DIST, "digit_dtype")),
+    ("no == p zero test", "distance.py",
+     "nz = (W != 0) & (W != self.F.p)", "nz = W != 0",
+     (DIST, "digit_dtype or split_kernel")),
+    ("high part offset rounded up", "distance.py",
+     "h -= start // self.Q", "h -= -(-start // self.Q)",
+     (DIST, "split_kernel")),
+    ("low table larger than a batch", "distance.py",
+     "if F.q**L <= self.rows)", "if F.q**L <= 2 * self.rows)",
+     (DIST, "low_table")),
+    ("first digit plane only", "distance.py",
+     "reduce(np.logical_or, np.hsplit(nz, self.F.e))", "np.hsplit(nz, self.F.e)[0]",
+     (DIST, "extension_field")),
+    ("row swap without negating a row", "superreg.py",
+     "            M[pr][col:] = [neg(x) for x in M[pr][col:]]\n", "",
+     ("tests/test_superreg.py", "det_matches_cofactor")),
+    ("Zech entry off by one", "galois.py",
+     "z = self._zech[log[b] - la]", "z = self._zech[log[b] - la - 1]",
+     ("tests/test_galois.py", "zech")),
+    ("Singleton bound of degree - 1", "codes.py",
+     "singleton_bound(m, k, n, sum(degrees))", "singleton_bound(m, k, n, sum(degrees) - 1)",
+     ("tests/test_codes.py", "golden")),
+    ("shift filter dropped", "distance.py",
+     "        x, h, l = x[keep], h[keep], l[keep]\n", "",
+     (DIST, "normalized_enumeration")),
+    ("stop counts one message too few", "distance.py",
+     "f + 1, True", "f, True",
+     (DIST, "split_kernel")),
+    ("no break at a stop", "distance.py",
+     "            below = True\n            break\n", "            below = True\n",
+     (DIST, "stop_below_ends")),
+    ("last nonempty stratum skipped", "distance.py",
+     "in self.zero_exp_positions) + 1)", "in self.zero_exp_positions))",
+     (DIST, "skip_only_empty")),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def run_pytest(cwd: Path, files, keyword: str) -> int:
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           *files, "-k", keyword]
+    return subprocess.run(cmd, cwd=cwd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    bad = []
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        files = sorted({f for *_, (f, _) in MUTANTS})
+        if run_pytest(clean, files, " or ".join(f"({k})" for *_, (_, k) in MUTANTS)) != 0:
+            print("the clean copy fails the selected tests")
+            return 1
+        for i, (name, rel, old, new, (test_file, keyword)) in enumerate(MUTANTS):
+            work = Path(tmp) / f"m{i}"
+            copy_tree(work)
+            path = work / "src" / "mdconv" / rel
+            text = path.read_text()
+            if text.count(old) != 1:
+                print(f"MISSING  {name}: old text occurs {text.count(old)} times in {rel}")
+                bad.append(name)
+                continue
+            path.write_text(text.replace(old, new))
+            # pytest exits 1 when tests fail; any other code is a broken run.
+            rc = run_pytest(work, [test_file], keyword)
+            status = {0: "SURVIVED", 1: "killed"}.get(rc, f"ERROR rc={rc}")
+            print(f"{status:8} {name}")
+            if rc != 1:
+                bad.append(name)
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,6 +41,7 @@ from mdconv.codes import (
     support_count,
     support_count_identity_check,
 )
+from oracles import internal_degree
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -596,7 +597,7 @@ def test_certified_verdict_matches_singleton_bound_and_search(code):
     assert cert.verdict != NOT_CERTIFIED
     assert (cert.verdict == CERTIFIED_MDS) == (cert.theorem != MD_STAIRCASE_BOUND)
     if cert.verdict == CERTIFIED_MDS:
-        assert cert.certified_distance == singleton_bound(code.m, code.k, code.n, G.internal_degree())
+        assert cert.certified_distance == singleton_bound(code.m, code.k, code.n, internal_degree(G))
     assert free_distance_estimate(G, 0).min_weight_found == cert.certified_distance
 
 

@@ -1,10 +1,11 @@
 import random
 import subprocess
 import sys
+import threading
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdconv.galois import make_field
 from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
@@ -248,11 +249,7 @@ def test_stop_below_ends_the_search(monkeypatch):
         calls.clear()
         reports.append(free_distance_estimate(
             code.generator, 2, stop_below=10, workers=workers))
-        if workers == 1:
-            assert len(calls) == 1
-        else:
-            # Only the first window was handed to the pool.
-            assert 1 <= len(calls) <= distance._WINDOW
+        assert len(calls) == 1
     assert reports[0] == reports[1]
     assert reports[0].messages_tried == 1 and reports[0].below_bound
 
@@ -295,19 +292,41 @@ def test_report_independent_of_workers_and_batch_size(code, stop_below):
     reports = []
     for elements in (_batch_elements(G, cap, 1), _batch_elements(G, cap, 7),
                      distance._BATCH_ELEMENTS):
-        for window in (1, distance._WINDOW):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(distance, "_BATCH_ELEMENTS", elements)
-                mp.setattr(distance, "_WINDOW", window)
-                reports += [
-                    free_distance_estimate(G, cap, stop_below=stop_below, workers=workers)
-                    for workers in (1, 2, 3)
-                ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_BATCH_ELEMENTS", elements)
+            reports += [
+                free_distance_estimate(G, cap, stop_below=stop_below, workers=workers)
+                for workers in (1, 2, 3)
+            ]
     assert all(r == reports[0] for r in reports)
     rep = reports[0]
     assert (rep.witness_message @ G).weight() == rep.min_weight_found
     if stop_below is not None:
         assert rep.below_bound == (rep.min_weight_found < stop_below)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes())
+def test_batches_skip_only_empty_strata(code):
+    G, cap = code
+    F, m = G.field, G.m
+    exps = monomials_upto(cap, m)
+    s = len(exps)
+    dim = G.rows * s
+    # Oracle: the positions of the leading 1 over every normalized message.
+    leads = set()
+    for p0 in range(dim):
+        for tail in product(range(F.q), repeat=dim - 1 - p0):
+            support = [exps[p0 % s]] + [exps[(p0 + 1 + i) % s] for i, c in enumerate(tail) if c]
+            if all(any(alpha[v] == 0 for alpha in support) for v in range(m)):
+                leads.add(p0)
+                break
+    enum = _Enumerator(G, cap, None)
+    batches = list(enum.batches())
+    assert {p0 for p0, _, _ in batches} == leads
+    tried = sum(enum.scan(batch)[2] for batch in batches)
+    assert tried == free_distance_estimate(G, cap).messages_tried
+    assert tried == _brute_force_min_weight(G, cap)[1]
 
 
 def _normalized_in_order(G, cap):
@@ -342,6 +361,9 @@ def _expected_report(G, cap, stop_below=None):
 @settings(max_examples=60, deadline=None)
 @given(small_codes(), st.sampled_from(["no table", "partial table", "default"]),
        st.one_of(st.none(), st.integers(1, 12)))
+# Batches of q + 1 rows start inside a high part, so a wrong high-part
+# offset changes which messages are counted.
+@example((PolyMatrix(F2, 2, [[Polynomial.constant(F2, 2, 1)]]), 2), "partial table", None)
 def test_split_kernel_matches_brute_force(code, table, stop_below):
     G, cap = code
     q = G.field.q
@@ -438,6 +460,21 @@ def test_worker_count_does_not_change_report():
     a = free_distance_estimate(code.generator, 2, workers=1)
     b = free_distance_estimate(code.generator, 2, workers=4)
     assert a == b
+
+
+def test_every_scan_runs_on_the_calling_thread(monkeypatch):
+    code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
+    threads = []
+    scan = _Enumerator.scan
+
+    def recording(self, batch):
+        threads.append(threading.current_thread())
+        return scan(self, batch)
+
+    monkeypatch.setattr(_Enumerator, "scan", recording)
+    free_distance_estimate(code.generator, 2, workers=4)
+    assert len(threads) > 1
+    assert all(t is threading.current_thread() for t in threads)
 
 
 def test_weight_profile_examples():
