@@ -17,7 +17,6 @@ from .superreg import (
     is_superregular,
     nullspace,
     random_superregular,
-    rank,
 )
 from .codes import (
     CERTIFIED_DISTANCE,
@@ -54,8 +53,7 @@ __all__ = [
     "FiniteField", "GaloisError", "make_field",
     "NEG_INF", "Polynomial", "PolyMatrix", "monomials_upto", "term_key",
     "ConstMatrix", "SearchExhaustedError", "SuperregularityReport",
-    "cauchy_matrix", "is_superregular", "nullspace",
-    "random_superregular", "rank",
+    "cauchy_matrix", "is_superregular", "nullspace", "random_superregular",
     "CERTIFIED_DISTANCE", "CERTIFIED_MDS", "MD_STAIRCASE_BOUND", "NOT_CERTIFIED", "RATE_1N",
     "STAIRCASE_KN", "CodeDescriptor", "ConstructionError", "FieldTooSmallError",
     "FlattenedMatrix", "MdsCertificate", "certify", "construct_mds_rate_1n",

@@ -380,38 +380,31 @@ def construct_mds_staircase(
 def singleton_witness(code: CodeDescriptor) -> tuple[PolyMatrix, PolyMatrix, int]:
     """Produce a low-weight codeword along the lines of the bound's proof.
 
-    Rows are ordered by descending row degree; within the minimal-degree
-    block a nonzero constant combination is chosen whose constant slice
-    vanishes on the first (block size - 1) coordinates.  The returned
-    codeword has weight at most the generalized Singleton bound for the
-    generator's external degree.
+    The block is the rows of least row degree, in index order; a nonzero
+    constant combination of them is chosen whose constant slice vanishes on
+    the first (block size - 1) coordinates.  The returned codeword has
+    weight at most the generalized Singleton bound for the generator's
+    external degree.
     """
     G = code.generator
     if not G.has_full_row_rank():
         raise ValueError("generator matrix is not full row rank")
-    k, n, m, F = code.k, code.n, code.m, code.field
+    k, m, F = code.k, code.m, code.field
     degrees = [int(d) for d in G.row_degrees()]
-    order = sorted(range(k), key=lambda i: -degrees[i])
-    nu_min = degrees[order[-1]]
-    # t is the 1-based position of the first minimal-degree row after sorting.
-    t = next(pos + 1 for pos in range(k) if degrees[order[pos]] == nu_min)
-    block = order[t - 1:]  # original indices of the minimal-degree rows
+    block = [r for r in range(k) if degrees[r] == min(degrees)]
 
     zero_alpha = (0,) * m
     if len(block) == 1:
         u_tilde = (1,)
     else:
-        # Constant slice of the minimal block, restricted to the first k - t
-        # columns: (k - t + 1) rows vs k - t equations, so a nonzero left
-        # kernel vector always exists.
-        const_block = ConstMatrix(
-            F,
-            tuple(
-                tuple(G.entries[r][c].coeff(zero_alpha) for c in range(k - t))
-                for r in block
-            ),
-        )
-        u_tilde = superreg.nullspace(const_block.transpose())[0]
+        # The constant slice of the block on its first len(block) - 1
+        # columns, transposed: len(block) - 1 equations in len(block)
+        # unknowns, so a nonzero left kernel vector always exists.
+        slice_t = ConstMatrix(F, tuple(
+            tuple(G.entries[r][c].coeff(zero_alpha) for r in block)
+            for c in range(len(block) - 1)
+        ))
+        u_tilde = superreg.nullspace(slice_t)[0]
 
     coeffs = [0] * k
     for r, c in zip(block, u_tilde):

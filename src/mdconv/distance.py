@@ -252,9 +252,6 @@ def free_distance_estimate(
         if stopped:
             below = True
             break
-
-    if best is None:
-        raise ValueError("enumeration covered no messages (empty message space)")
     return DistanceReport(
         min_weight_found=best,
         cap=cap,

@@ -132,10 +132,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
-    for cand in _monic_polys(p, e):
-        if _is_irreducible(cand, p):
-            return cand
-    raise GaloisError(f"no irreducible polynomial found for GF({p}^{e})")  # unreachable
+    return next(c for c in _monic_polys(p, e) if _is_irreducible(c, p))
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,14 @@ def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
     """All exponent vectors of total degree <= `degree`, in canonical order."""
     if degree < 0 or m < 1:
         raise ValueError(f"need degree >= 0 and m >= 1, got ({degree}, {m})")
-    if m == 1:
-        return [(a,) for a in range(degree + 1)]
-    return [rest + (a,) for a in range(degree + 1) for rest in monomials_upto(degree - a, m - 1)]
+    # levels[d]: the vectors of the variables so far with total degree <= d.
+    # Each new variable is the recursion on the last one, level by level;
+    # the last variable needs only the top level.
+    levels = [[()]] * (degree + 1)
+    for _ in range(m - 1):
+        levels = [[rest + (a,) for a in range(d + 1) for rest in levels[d - a]]
+                  for d in range(degree + 1)]
+    return [rest + (a,) for a in range(degree + 1) for rest in levels[degree - a]]
 
 
 @dataclass(frozen=True)
@@ -130,23 +135,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.field, self.m, tuple(self.sorted_terms())))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for alpha, c in self.sorted_terms():
-            mono = "*".join(
-                f"z{i+1}" + (f"^{a}" if a > 1 else "")
-                for i, a in enumerate(alpha) if a
-            )
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(mono)
-            else:
-                bits.append(f"{c}*{mono}")
-        return " + ".join(bits)
-
     def to_json(self) -> list:
         return [[list(a), c] for a, c in self.sorted_terms()]
 
@@ -156,7 +144,10 @@ class Polynomial:
         for term in json_list(obj):
             if type(term) is not list or len(term) != 2:
                 raise ValueError(f"polynomial term must be [exponents, coefficient], got {term!r}")
-            terms[tuple(map(json_int, json_list(term[0])))] = json_int(term[1])
+            alpha = tuple(map(json_int, json_list(term[0])))
+            if alpha in terms:
+                raise ValueError(f"repeated exponent vector {list(alpha)} in polynomial")
+            terms[alpha] = json_int(term[1])
         return Polynomial(field, m, terms)
 
 
@@ -188,10 +179,6 @@ class PolyMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def __repr__(self) -> str:
-        body = "; ".join("[" + ", ".join(map(repr, row)) + "]" for row in self.entries)
-        return f"PolyMatrix({body})"
 
     # -- degree and weight machinery -------------------------------------
 

@@ -2,7 +2,7 @@
 
 Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
 generation, and a seeded stream of random candidate matrices.  One Gaussian
-elimination routine, `_echelon`, serves the determinant, rank, nullspace and
+elimination routine, `_echelon`, serves the determinant, the nullspace and
 the minor scan.
 """
 
@@ -43,9 +43,6 @@ class ConstMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def transpose(self) -> "ConstMatrix":
-        return ConstMatrix(self.field, tuple(zip(*self.entries)))
 
     def to_json(self) -> dict:
         return {"field": self.field.to_json(), "entries": [list(r) for r in self.entries]}
@@ -135,6 +132,7 @@ def cauchy_matrix(F: FiniteField, xs: Sequence[int], ys: Sequence[int]) -> Const
     Every minor is a Cauchy determinant and hence nonzero, but callers
     certifying codes re-verify with `is_superregular` rather than assume it.
     """
+    xs, ys = [F.check(x) for x in xs], [F.check(y) for y in ys]
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise GaloisError("Cauchy parameters must be distinct")
     if set(xs) & set(ys):
@@ -171,10 +169,6 @@ def random_superregular(
 ) -> ConstMatrix:
     """The first matrix of `random_matrices` that passes `is_superregular`."""
     return next(A for A in random_matrices(F, r, s, seed, max_tries) if is_superregular(A).verdict)
-
-
-def rank(A: ConstMatrix) -> int:
-    return len(_echelon(A.field, [list(row) for row in A.entries]))
 
 
 def nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:

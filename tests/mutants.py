@@ -62,6 +62,9 @@ MUTANTS = [
     ("last nonempty stratum skipped", "distance.py",
      "in self.zero_exp_positions) + 1)", "in self.zero_exp_positions))",
      (DIST, "skip_only_empty")),
+    ("witness block of greatest degree", "codes.py",
+     "degrees[r] == min(degrees)", "degrees[r] == max(degrees)",
+     ("tests/test_codes.py", "witness")),
 ]
 
 

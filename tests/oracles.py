@@ -2,11 +2,13 @@
 
 The determinant is the Leibniz sum over permutations, so it shares no code
 with `multipoly._det_cofactor` (cofactor expansion) or `superreg._echelon`
-(elimination); the minors, internal degree and unimodularity rest on it.
+(elimination); the minors, internal degree, unimodularity and the rank of
+a constant matrix rest on it.
 """
 
+from functools import reduce
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from mdconv.multipoly import Polynomial, PolyMatrix
 from mdconv.superreg import ConstMatrix
@@ -17,6 +19,12 @@ def identity(field, m: int, k: int) -> PolyMatrix:
     return PolyMatrix(field, m, [[one if i == j else zero for j in range(k)] for i in range(k)])
 
 
+def _signed_permutations(n: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """Every permutation of range(n), with True when it is odd."""
+    for perm in permutations(range(n)):
+        yield perm, sum(a > b for a, b in combinations(perm, 2)) % 2 == 1
+
+
 def leibniz_det(M: PolyMatrix, cols: Sequence[int] | None = None) -> Polynomial:
     """det of M restricted to `cols` (all columns by default): the sum over
     permutations of sign * product of one entry per row."""
@@ -24,12 +32,11 @@ def leibniz_det(M: PolyMatrix, cols: Sequence[int] | None = None) -> Polynomial:
     if len(cols) != M.rows:
         raise ValueError("determinant requires a square matrix")
     acc = Polynomial.zero(M.field, M.m)
-    for perm in permutations(range(M.rows)):
+    for perm, odd in _signed_permutations(M.rows):
         term = Polynomial.constant(M.field, M.m, 1)
         for i, j in enumerate(perm):
             term = term * M.entries[i][cols[j]]
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        acc = acc + (-term if inversions % 2 else term)
+        acc = acc + (-term if odd else term)
     return acc
 
 
@@ -54,3 +61,27 @@ def submatrix(A: ConstMatrix, rows: Sequence[int], cols: Sequence[int]) -> Const
     """Rows and columns of A in the given order; a row permutation when
     `cols` is every column."""
     return ConstMatrix(A.field, tuple(tuple(A.entries[i][j] for j in cols) for i in rows))
+
+
+def transpose(A: ConstMatrix) -> ConstMatrix:
+    return ConstMatrix(A.field, tuple(zip(*A.entries)))
+
+
+def const_det(A: ConstMatrix) -> int:
+    """Leibniz determinant of a square constant matrix."""
+    F = A.field
+    acc = 0
+    for perm, odd in _signed_permutations(A.rows):
+        term = reduce(F.mul, (A.entries[i][j] for i, j in enumerate(perm)), 1)
+        acc = (F.sub if odd else F.add)(acc, term)
+    return acc
+
+
+def rank(A: ConstMatrix) -> int:
+    """The largest t with a nonzero t x t minor; 0 for the zero matrix."""
+    for t in range(min(A.rows, A.cols), 0, -1):
+        if any(const_det(submatrix(A, rs, cs))
+               for rs in combinations(range(A.rows), t)
+               for cs in combinations(range(A.cols), t)):
+            return t
+    return 0

@@ -73,6 +73,14 @@ def test_construct_large_extension_degree_fast():
     assert json.loads(res.stdout)["certificate"]["verdict"] == "CERTIFIED_MDS"
 
 
+def test_construct_many_variables():
+    # A recursive `monomials_upto`, one stack level per variable, overflowed
+    # the interpreter's stack from about m = 500 on.
+    res = run_cli("construct", "--p", "7", "--m", "600", "--n", "3", "--delta", "0")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["certificate"]["verdict"] == "CERTIFIED_MDS"
+
+
 def test_construct_staircase_and_flatten(tmp_path):
     out = tmp_path / "code.json"
     res = run_cli(
@@ -413,3 +421,14 @@ def test_json_shape_errors_name_the_input(tmp_path):
     for bad, message in cases:
         path.write_text(json.dumps(bad))
         assert _main_in_process(["certify", "-i", str(path)]) == (2, "", f"error: {message}\n")
+
+
+def test_repeated_exponent_vector_exits_2(tmp_path):
+    # A repeated term is refused, not read as its last coefficient.
+    _, out, _ = _main_in_process(["construct", "--p", "7", "--m", "1", "--n", "2",
+                                  "--delta", "1"])
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(json.loads(out)["code"]))
+    res = run_cli("encode", "-i", str(path), "--message", "[[[[0],1],[[0],2]]]")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: repeated exponent vector [0] in polynomial\n"

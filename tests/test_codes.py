@@ -442,20 +442,18 @@ def test_certify_staircase_profile_with_k_above_n():
 
 
 def test_certify_md_staircase_profile():
-    # Three degree blocks 2 > 1 > 0 over a field large enough for Cauchy.
-    F = make_field(23)
+    # Three degree blocks 2 > 1 > 0 at the least admissible length
+    # n = 3 + 2 + 1, over the least prime field large enough for Cauchy.
     rows = support_count(2, 2) + support_count(1, 2) + support_count(0, 2)
-    from mdconv.superreg import cauchy_matrix
-
-    n = 10
-    S = cauchy_matrix(F, list(range(rows)), list(range(rows, rows + n)))
+    n = 6
+    S = cauchy_matrix(F17, list(range(rows)), list(range(rows, rows + n)))
     G = phi_lift(S, 2, [(1, 2), (1, 1), (1, 0)])
     cert = certify(CodeDescriptor.from_generator(G))
     assert cert.theorem == MD_STAIRCASE_BOUND
     assert cert.verdict == CERTIFIED_DISTANCE
     assert cert.certified_distance == staircase_distance_bound(2, n, 0) == n
     assert cert.hypotheses[-1] == Hypothesis(
-        "meets_singleton_bound", False, "certified distance 10, Singleton bound 28"
+        "meets_singleton_bound", False, "certified distance 6, Singleton bound 16"
     )
 
 

@@ -268,6 +268,12 @@ def test_monomials_upto_matches_product_filter_sort():
             assert len(got) == support_count(d, m)
 
 
+def test_monomials_upto_many_variables():
+    # Built level by level, so the variable count is not bounded by the
+    # interpreter's recursion limit.
+    assert monomials_upto(0, 2000) == [(0,) * 2000]
+
+
 def test_json_round_trip():
     f = P(F7, 2, {(0, 0): 2, (1, 0): 3, (0, 1): 6})
     assert Polynomial.from_json(f.to_json(), F7, 2) == f
@@ -286,6 +292,14 @@ def test_polynomial_from_json_rejects_non_integers(terms):
         Polynomial(F7, 2, {tuple(a): c for a, c in terms})
     with pytest.raises(ValueError, match="expected an integer"):
         PolyMatrix.from_json([[terms]], F7, 2)
+
+
+def test_polynomial_from_json_rejects_repeated_exponent_vector():
+    # Letting the last term win would read [[0], 1], [[0], 2] as the constant 2.
+    with pytest.raises(ValueError, match=r"repeated exponent vector \[0\]"):
+        Polynomial.from_json([[[0], 1], [[0], 2]], F7, 1)
+    with pytest.raises(ValueError, match="repeated exponent vector"):
+        PolyMatrix.from_json([[[[[1, 0], 3], [[0, 1], 1], [[1, 0], 0]]]], F7, 2)
 
 
 # -- differential check against pointwise evaluation -----------------------

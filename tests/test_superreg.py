@@ -17,9 +17,8 @@ from mdconv.superreg import (
     nullspace,
     random_matrices,
     random_superregular,
-    rank,
 )
-from oracles import leibniz_det, submatrix
+from oracles import leibniz_det, rank, submatrix, transpose
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -39,7 +38,7 @@ def mat_vec(A, v):
 
 def vec_mat(u, A):
     """u A over A's field, term by term."""
-    return mat_vec(A.transpose(), u)
+    return mat_vec(transpose(A), u)
 
 
 def test_one_by_one_minors():
@@ -92,6 +91,17 @@ def test_cauchy_rejects_collisions():
         cauchy_matrix(F5, [0, 0], [1])
     with pytest.raises(GaloisError):
         cauchy_matrix(F5, [0, 1], [1, 2])
+
+
+def test_cauchy_rejects_parameters_outside_the_field():
+    # 8 is no element code of GF(7); read as an int it is distinct from 1,
+    # but 8 - 2 and 1 - 2 agree mod 7, which gave two equal rows.
+    with pytest.raises(GaloisError, match="8 is not an element code of GF\\(7\\)"):
+        cauchy_matrix(F7, [1, 8], [2, 3])
+    with pytest.raises(GaloisError, match="5 is not an element code of GF\\(4\\)"):
+        cauchy_matrix(F4, [5], [0])
+    with pytest.raises(GaloisError):
+        cauchy_matrix(F5, [0], [-1])
 
 
 def test_cauchy_always_superregular():
@@ -178,7 +188,7 @@ def test_rank_nullity_and_kernel_property():
 
 def test_left_nullspace_via_transpose():
     A = ConstMatrix(F5, ((1, 2), (2, 4)))
-    for u in nullspace(A.transpose()):
+    for u in nullspace(transpose(A)):
         assert vec_mat(u, A) == (0, 0)
 
 
