@@ -125,16 +125,9 @@ class _Enumerator:
                         c = i * self.T + out_idx[tuple(x + y for x, y in zip(alpha, beta))]
                         M[r:r + e, :, c] = block
         self.M = M.reshape(self.dim * e, -1)
-        # Flat coefficient positions whose monomial has exponent 0 in each
-        # variable: a normalized message is nonzero at one of each.
-        self.zero_exp_positions = [
-            np.array(
-                [j * self.s + a for j in range(self.k)
-                 for a, alpha in enumerate(self.monomials) if alpha[v] == 0],
-                dtype=np.int64,
-            )
-            for v in range(self.m)
-        ]
+        # free[d, v]: flat position d's monomial has exponent 0 in variable
+        # v.  A normalized message is nonzero at a free position of each v.
+        self.free = np.array(self.monomials * self.k) == 0
         # Rows per batch, and Q = q^L low parts (the last L < dim positions).
         self.rows = max(1, _BATCH_ELEMENTS // max(1, self.M.shape[1]))
         self.Q = max(F.q**L for L in range(self.dim) if F.q**L <= self.rows)
@@ -142,7 +135,8 @@ class _Enumerator:
 
     def codewords(self, x, lead: Optional[int]):
         """Codeword digits of the messages with tail counters x after a 1 at
-        `lead`, and per variable whether each has a nonzero term free of it."""
+        `lead`, and per variable whether each has a nonzero term free of it
+        (an N x m bool array)."""
         import numpy as np
 
         p, e = self.F.p, self.F.e
@@ -156,8 +150,7 @@ class _Enumerator:
         digits %= p
         W = digits.reshape(len(C), self.dim * e) @ self.M
         W %= p
-        ok = [C[:, pos].any(axis=1) for pos in self.zero_exp_positions]
-        return W.astype(np.min_scalar_type(2 * (p - 1))), ok
+        return W.astype(np.min_scalar_type(2 * (p - 1))), (C != 0) @ self.free
 
     def message(self, p0: int, x: int) -> PolyMatrix:
         q = self.F.q
@@ -173,10 +166,11 @@ class _Enumerator:
     def batches(self):
         """Ranges `(p0, start, stop)` of the tail counter in enumeration order.
 
-        A stratum past the last zero-exponent position of some variable holds
-        no normalized message, and one up to it holds the all-(q - 1) tail.
+        A stratum past the last free position of some variable holds no
+        normalized message, and one up to it holds the all-(q - 1) tail.
+        Every variable has a free position: component 0's constant monomial.
         """
-        for p0 in range(min(pos[-1] for pos in self.zero_exp_positions) + 1):
+        for p0 in range(self.dim - int(self.free[::-1].argmax(axis=0).max())):
             total = self.F.q ** (self.dim - 1 - p0)
             for start in range(0, total, self.rows):
                 yield p0, start, min(start + self.rows, total)
@@ -197,7 +191,7 @@ class _Enumerator:
         h, l = np.divmod(x, self.Q)
         h -= start // self.Q
         high, high_ok = self.codewords(range(start - start % self.Q, stop, self.Q), p0)
-        keep = np.logical_and.reduce([hv[h] | lv[l] for hv, lv in zip(high_ok, self.low_ok)])
+        keep = (high_ok[h] | self.low_ok[l]).all(axis=1)
         x, h, l = x[keep], h[keep], l[keep]
         if not len(x):
             return None, None, 0, False

@@ -10,7 +10,7 @@ of a primitive element g and its log table (Lidl-Niederreiter, "Introduction
 to Finite Fields and Their Applications", ch. 9), so `mul` and `inv` are two
 or three list lookups instead of polynomial multiply-and-reduce and an
 extended Euclid in GF(p)[x].  The tables take O(q) memory and O(q) multiplies
-to build, so larger fields, up to GF(2^61), keep the polynomial path, which
+to build, so larger fields, up to q = 2^62, keep the polynomial path, which
 is also the code that builds the tables.
 
 Addition is digitwise mod p, and on extension fields it takes one of three

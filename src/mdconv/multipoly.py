@@ -32,14 +32,11 @@ def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
     """All exponent vectors of total degree <= `degree`, in canonical order."""
     if degree < 0 or m < 1:
         raise ValueError(f"need degree >= 0 and m >= 1, got ({degree}, {m})")
-    # levels[d]: the vectors of the variables so far with total degree <= d.
-    # Each new variable is the recursion on the last one, level by level;
-    # the last variable needs only the top level.
-    levels = [[()]] * (degree + 1)
-    for _ in range(m - 1):
-        levels = [[rest + (a,) for a in range(d + 1) for rest in levels[d - a]]
-                  for d in range(degree + 1)]
-    return [rest + (a,) for a in range(degree + 1) for rest in levels[degree - a]]
+    # Stars and bars: m bars among degree + m slots.  The gaps before the
+    # bars, read last variable first, run through the canonical order as
+    # the bar positions run through lex order.
+    return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))[::-1]
+            for bars in combinations(range(degree + m), m)]
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,23 @@ MUTANTS = [
      "            below = True\n            break\n", "            below = True\n",
      (DIST, "stop_below_ends")),
     ("last nonempty stratum skipped", "distance.py",
-     "in self.zero_exp_positions) + 1)", "in self.zero_exp_positions))",
+     "range(self.dim - int(", "range(self.dim - 1 - int(",
      (DIST, "skip_only_empty")),
+    ("shift filter needs one variable only", "distance.py",
+     "self.low_ok[l]).all(axis=1)", "self.low_ok[l]).any(axis=1)",
+     (DIST, "normalized_enumeration or split_kernel or skip_only_empty")),
     ("witness block of greatest degree", "codes.py",
      "degrees[r] == min(degrees)", "degrees[r] == max(degrees)",
      ("tests/test_codes.py", "witness")),
+    ("exponent vectors not reversed", "multipoly.py",
+     "bars, bars))[::-1]", "bars, bars))",
+     ("tests/test_multipoly.py", "monomials_upto")),
+    ("cofactor signs swapped", "multipoly.py",
+     "(term if j % 2 == 0 else -term)", "(term if j % 2 else -term)",
+     ("tests/test_multipoly.py", "minors_match")),
+    ("largest minor size not scanned", "superreg.py",
+     "range(1, min(A.rows, A.cols) + 1)", "range(1, min(A.rows, A.cols))",
+     ("tests/test_superreg.py", "superregular")),
 ]
 
 

@@ -274,7 +274,7 @@ FIELDS = [make_field(p, e) for p, e in
 @st.composite
 def small_codes(draw):
     F = draw(st.sampled_from(FIELDS))
-    m, k, cap = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    m, k, cap = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
     while F.q ** (k * len(monomials_upto(cap, m))) > 1000:
         cap, k = (cap - 1, k) if cap else (cap, k - 1)
     n = draw(st.integers(1, 3))

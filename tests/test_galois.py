@@ -36,6 +36,10 @@ def test_make_field_rejects_bad_input():
         make_field(2, 0)
     with pytest.raises(GaloisError, match="too large"):
         make_field(2, 10**9)  # rejected before 2**(10**9) is computed
+    # The size limit is q <= 2^62.
+    assert make_field(2, 62).q == 2**62
+    with pytest.raises(GaloisError, match="too large"):
+        make_field(2, 63)
 
 
 def _trial_division_is_prime(n):

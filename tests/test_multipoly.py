@@ -269,9 +269,11 @@ def test_monomials_upto_matches_product_filter_sort():
 
 
 def test_monomials_upto_many_variables():
-    # Built level by level, so the variable count is not bounded by the
-    # interpreter's recursion limit.
+    # Not recursive, so the variable count is not bounded by the
+    # interpreter's recursion limit, and each vector is built once.
     assert monomials_upto(0, 2000) == [(0,) * 2000]
+    units = [(0,) * v + (1,) + (0,) * (1999 - v) for v in range(2000)]
+    assert monomials_upto(1, 2000) == [(0,) * 2000] + units
 
 
 def test_json_round_trip():
