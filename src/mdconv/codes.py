@@ -328,6 +328,14 @@ def _construct(
         candidates = [cauchy_matrix(F, list(range(rows)), list(range(rows, rows + n)))]
     elif source == "random":
         candidates = random_matrices(F, rows, n, seed, max_tries)
+        # Ball (JEMS 2012): over a prime field an MDS code [I | A] with
+        # 2 <= k <= q has length at most q + 1, and a superregular r x s
+        # matrix with r, s >= 2 has r, s <= q - 1, so no draw can pass.
+        if F.e == 1 and min(rows, n) >= 2 and rows + n > F.q + 1:
+            raise FieldTooSmallError(
+                f"no superregular {rows}x{n} matrix exists over GF({F.q}): over a prime "
+                f"field, r, s >= 2 needs r + s <= q + 1 = {F.q + 1} (Ball 2012)"
+            )
     else:
         raise ValueError(f"unknown source {source!r}")
     for S in candidates:

@@ -3,7 +3,10 @@
 Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
 generation, and a seeded stream of random candidate matrices.  One Gaussian
 elimination routine, `_echelon`, serves the determinant, the nullspace and
-the minor scan.
+the minor scan.  Its contract: it brings a list-of-lists matrix to row
+echelon form in place, by determinant-preserving row operations only, and
+returns the pivot column of each pivot row, so the rank is the pivot count
+and a square matrix's determinant is the product of the diagonal.
 """
 
 from __future__ import annotations
@@ -73,25 +76,36 @@ def _echelon(F: FiniteField, M: list[list[int]]) -> list[int]:
 
     Only row operations that keep the determinant are used: adding a multiple
     of the pivot row to a row below it, and swapping two rows while negating one.
+    The pivot of column c is the first row at or below the next pivot row
+    with a nonzero entry there; a column without one is skipped.  The loops
+    run by index, so a call allocates nothing but the pivot list.
     """
-    add, mul, neg = F.add, F.mul, F.neg
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
+    nrows, ncols = len(M), len(M[0])
     pivots: list[int] = []
-    for col in range(len(M[0])):
-        row = len(pivots)
-        pr = next((r for r in range(row, len(M)) if M[r][col]), None)
-        if pr is None:
+    row = 0
+    for col in range(ncols):
+        for pr in range(row, nrows):
+            if M[pr][col]:
+                break
+        else:
             continue
+        P = M[pr]
         if pr != row:
-            M[row], M[pr] = M[pr], M[row]
-            M[pr][col:] = [neg(x) for x in M[pr][col:]]
-        P, pinv = M[row], F.inv(M[row][col])
-        for R in M[row + 1:]:
+            Q = M[row]
+            M[row], M[pr] = P, Q
+            for c in range(col, ncols):
+                Q[c] = neg(Q[c])
+        pinv = inv(P[col])
+        for r in range(row + 1, nrows):
+            R = M[r]
             if R[col]:
                 f = neg(mul(R[col], pinv))
                 R[col] = 0
-                for c in range(col + 1, len(P)):
+                for c in range(col + 1, ncols):
                     R[c] = add(R[c], mul(f, P[c]))
         pivots.append(col)
+        row += 1
     return pivots
 
 
@@ -147,21 +161,27 @@ def random_matrices(
 ) -> Iterator[ConstMatrix]:
     """Seeded stream of r x s matrices with uniformly random nonzero entries.
 
-    Identical seed gives an identical stream.  Raises SearchExhaustedError
-    when asked for one more than max_tries matrices.
+    Identical seed gives an identical stream.  The shape and max_tries are
+    checked at the call, before the first draw (ValueError).  The stream
+    raises SearchExhaustedError when asked for one more than max_tries
+    matrices.
     """
     if r < 1 or s < 1:
         raise ValueError("matrix shape must be at least 1x1")
     if max_tries < 1:
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    rng = random.Random(seed)
-    for _ in range(max_tries):
-        yield ConstMatrix(
-            F, tuple(tuple(rng.randrange(1, F.q) for _ in range(s)) for _ in range(r))
+
+    def draws() -> Iterator[ConstMatrix]:
+        rng = random.Random(seed)
+        for _ in range(max_tries):
+            yield ConstMatrix(
+                F, tuple(tuple(rng.randrange(1, F.q) for _ in range(s)) for _ in range(r))
+            )
+        raise SearchExhaustedError(
+            f"no superregular {r}x{s} matrix over GF({F.q}) in {max_tries} tries"
         )
-    raise SearchExhaustedError(
-        f"no superregular {r}x{s} matrix over GF({F.q}) in {max_tries} tries"
-    )
+
+    return draws()
 
 
 def random_superregular(

@@ -25,6 +25,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 DIST = "tests/test_distance.py"
+SR = "tests/test_superreg.py"
 MUTANTS = [
     ("digit dtype sized for p - 1", "distance.py",
      "np.min_scalar_type(2 * (p - 1))", "np.min_scalar_type(p - 1)",
@@ -42,8 +43,14 @@ MUTANTS = [
      "reduce(np.logical_or, np.hsplit(nz, self.F.e))", "np.hsplit(nz, self.F.e)[0]",
      (DIST, "extension_field")),
     ("row swap without negating a row", "superreg.py",
-     "            M[pr][col:] = [neg(x) for x in M[pr][col:]]\n", "",
-     ("tests/test_superreg.py", "det_matches_cofactor")),
+     "            for c in range(col, ncols):\n                Q[c] = neg(Q[c])\n", "",
+     (SR, "det_matches_cofactor")),
+    ("pivot search starts at row 0", "superreg.py",
+     "for pr in range(row, nrows):", "for pr in range(nrows):",
+     (SR, "det_matches_cofactor or scan_report")),
+    ("elimination skips the last row", "superreg.py",
+     "for r in range(row + 1, nrows):", "for r in range(row + 1, nrows - 1):",
+     (SR, "det_matches_cofactor or scan_report")),
     ("Zech entry off by one", "galois.py",
      "z = self._zech[log[b] - la]", "z = self._zech[log[b] - la - 1]",
      ("tests/test_galois.py", "zech")),
@@ -76,7 +83,7 @@ MUTANTS = [
      ("tests/test_multipoly.py", "minors_match")),
     ("largest minor size not scanned", "superreg.py",
      "range(1, min(A.rows, A.cols) + 1)", "range(1, min(A.rows, A.cols))",
-     ("tests/test_superreg.py", "superregular")),
+     (SR, "superregular")),
 ]
 
 

@@ -3,7 +3,8 @@
 The determinant is the Leibniz sum over permutations, so it shares no code
 with `multipoly._det_cofactor` (cofactor expansion) or `superreg._echelon`
 (elimination); the minors, internal degree, unimodularity and the rank of
-a constant matrix rest on it.
+a constant matrix rest on it, and so does `scan_report`, the minor scan's
+report recomputed minor by minor.
 """
 
 from functools import reduce
@@ -11,7 +12,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from mdconv.multipoly import Polynomial, PolyMatrix
-from mdconv.superreg import ConstMatrix
+from mdconv.superreg import ConstMatrix, SuperregularityReport
 
 
 def identity(field, m: int, k: int) -> PolyMatrix:
@@ -85,3 +86,17 @@ def rank(A: ConstMatrix) -> int:
                for cs in combinations(range(A.cols), t)):
             return t
     return 0
+
+
+def scan_report(A: ConstMatrix) -> SuperregularityReport:
+    """`is_superregular`'s report from Leibniz minors, in its canonical order:
+    size ascending, then row subsets, then column subsets, each in lex order,
+    stopping at the first zero minor."""
+    checked = 0
+    for t in range(1, min(A.rows, A.cols) + 1):
+        for rs in combinations(range(A.rows), t):
+            for cs in combinations(range(A.cols), t):
+                checked += 1
+                if not const_det(submatrix(A, rs, cs)):
+                    return SuperregularityReport(False, checked, (rs, cs, 0))
+    return SuperregularityReport(True, checked)

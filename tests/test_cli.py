@@ -186,11 +186,24 @@ def test_certify_k_above_n_not_certified_exit_1(tmp_path):
 
 
 def test_construct_max_tries_below_one_exit_2():
+    # The last shape, 3x7 over GF(7), is beyond the q + 1 bound: exit 2 first.
     for cmd, dims in [("construct", ("--m", "1", "--n", "2", "--delta", "1")),
-                      ("construct-staircase", ("--m", "1", "--k", "2", "--n", "3", "--nu", "0"))]:
+                      ("construct-staircase", ("--m", "1", "--k", "2", "--n", "3", "--nu", "0")),
+                      ("construct", ("--m", "2", "--n", "7", "--delta", "1"))]:
         res = run_cli(cmd, "--p", "7", *dims, "--source", "random", "--max-tries", "-3")
         assert res.returncode == 2
         assert res.stderr == "error: max_tries must be at least 1, got -3\n"
+
+
+def test_random_source_beyond_ball_bound_exit_3():
+    # 3x4 over GF(5) and 9x5 over GF(7): r + s > q + 1, refused before the
+    # first of the 10,000 default tries.
+    for cmd, dims in [("construct", ("--p", "5", "--m", "2", "--n", "4", "--delta", "1")),
+                      ("construct-staircase",
+                       ("--p", "7", "--m", "2", "--k", "2", "--n", "5", "--nu", "1"))]:
+        res = run_cli(cmd, *dims, "--source", "random")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert "r + s <= q + 1" in res.stderr
 
 
 def test_json_non_integers_exit_2(tmp_path):

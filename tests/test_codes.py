@@ -44,6 +44,7 @@ from mdconv.codes import (
 from oracles import internal_degree
 
 F2 = make_field(2)
+F3 = make_field(3)
 F5 = make_field(5)
 F7 = make_field(7)
 F11 = make_field(11)
@@ -390,7 +391,52 @@ def test_random_construction_matches_prescan_oracle(case):
     F, m, n, build, dims, profile, seed, max_tries = case
     got = _outcome(lambda: build(F, m, *dims, source="random", seed=seed, max_tries=max_tries))
     want = _outcome(lambda: _oracle_construct(F, m, profile, n, seed, max_tries))
-    assert got == want
+    if got[0] is FieldTooSmallError:
+        # Refused before the first draw by the q + 1 bound: the pre-scan
+        # search, which draws anyway, must find no superregular source.
+        assert want[0] is SearchExhaustedError
+    else:
+        assert got == want
+
+
+def test_random_source_beyond_ball_bound_is_refused_before_any_scan(monkeypatch):
+    # 3x4 over GF(5) and 9x5 over GF(7) once took 10,000 scans to exit 3.
+    scanned = _scanned_matrices(monkeypatch)
+    for build in [lambda: construct_mds_rate_1n(F5, 2, 4, 1, source="random"),
+                  lambda: construct_mds_staircase(F7, 2, 2, 5, 1, source="random")]:
+        with pytest.raises(FieldTooSmallError, match=r"r \+ s <= q \+ 1"):
+            build()
+    assert scanned == []
+    with pytest.raises(ValueError, match="max_tries"):
+        construct_mds_rate_1n(F5, 2, 4, 1, source="random", max_tries=0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_ball_bound_refuses_exactly_the_shapes_beyond_q_plus_1(monkeypatch, q):
+    # Every construction shape up to 16 rows and q + 3 columns, with an empty
+    # random stream: a shape is refused iff r, s >= 2 and r + s > q + 1, and
+    # otherwise reaches the (empty) search.
+    F = make_field(q)
+    monkeypatch.setattr(codes, "random_matrices", lambda *args: iter(()))
+    for m, k, nu in itertools.product([1, 2, 3], [1, 2, 3], [0, 1, 2]):
+        profile = [nu + 1] * (k - 1) + [nu]
+        rows = sum(codes.support_count(d, m) for d in profile)
+        if rows > 16:
+            continue
+        for n in range(codes._min_length(profile), q + 4):
+            with pytest.raises(ConstructionError) as exc:
+                construct_mds_staircase(F, m, k, n, nu, source="random")
+            refused = min(rows, n) >= 2 and rows + n > q + 1
+            assert (exc.type is FieldTooSmallError) == refused, (m, k, nu, n)
+
+
+@pytest.mark.parametrize("F, r, s", [(F2, 2, 2), (F3, 2, 3), (F3, 3, 2)])
+def test_no_superregular_matrix_just_beyond_ball_bound(F, r, s):
+    # The refusals are right on the smallest prime fields: no r x s matrix
+    # with r + s = q + 2 passes the scan.
+    for E in itertools.product(range(1, F.q), repeat=r * s):
+        A = ConstMatrix(F, tuple(tuple(E[i * s:(i + 1) * s]) for i in range(r)))
+        assert not is_superregular(A).verdict
 
 
 # ---------------------------------------------------------------------------

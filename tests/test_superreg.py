@@ -18,7 +18,7 @@ from mdconv.superreg import (
     random_matrices,
     random_superregular,
 )
-from oracles import leibniz_det, rank, submatrix, transpose
+from oracles import leibniz_det, rank, scan_report, submatrix, transpose
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -39,6 +39,12 @@ def mat_vec(A, v):
 def vec_mat(u, A):
     """u A over A's field, term by term."""
     return mat_vec(transpose(A), u)
+
+
+def combination(F, rows, coeffs):
+    """The row sum of c * row over rows and coeffs."""
+    return [reduce(F.add, (F.mul(c, row[j]) for row, c in zip(rows, coeffs)), 0)
+            for j in range(len(rows[0]))]
 
 
 def test_one_by_one_minors():
@@ -165,13 +171,16 @@ def test_nullspace_examples():
 
 
 def test_rank_nullity_and_kernel_property():
+    # Sizes 1-6; a row that combines earlier rows lowers the rank, so some
+    # column has no pivot and the rows below it must be swapped up.
     rng = random.Random(23)
     for _ in range(80):
         F = rng.choice(SMALL_FIELDS)
-        r, s = rng.randrange(1, 5), rng.randrange(1, 5)
-        A = ConstMatrix(F, tuple(
-            tuple(rng.randrange(F.q) for _ in range(s)) for _ in range(r)
-        ))
+        r, s = rng.randrange(1, 7), rng.randrange(1, 7)
+        E = [[rng.randrange(F.q) for _ in range(s)] for _ in range(r)]
+        for i in rng.sample(range(1, r), rng.randrange(r)):
+            E[i] = combination(F, E[:i], [rng.randrange(F.q) for _ in range(i)])
+        A = ConstMatrix(F, tuple(map(tuple, E)))
         basis = nullspace(A)
         assert rank(A) + len(basis) == s
         for v in basis:
@@ -217,17 +226,22 @@ def test_weight_lemma_small():
 
 def test_det_matches_cofactor_on_poly_free_matrices():
     # Elimination against cofactor expansion and the Leibniz formula (on
-    # constant polynomials), sizes 1-5 over prime and extension fields.  A
-    # zero in the top-left corner, and zeros elsewhere, force row swaps.
+    # constant polynomials), sizes 1-6 over prime and extension fields.  A
+    # zero in the top-left corner, and zeros elsewhere, force row swaps.  A
+    # row i that combines the rows above it is zero once they are eliminated,
+    # so the pivot at position i comes from a swap, or its column has none.
     rng = random.Random(31)
     for _ in range(200):
         F = rng.choice(SMALL_FIELDS)
-        n = rng.randrange(1, 6)
+        n = rng.randrange(1, 7)
         zeros = rng.choice([0.0, 0.3, 0.6])
         E = [[0 if rng.random() < zeros else rng.randrange(F.q) for _ in range(n)]
              for _ in range(n)]
         if rng.random() < 0.5:
             E[0][0] = 0
+        if n > 1 and rng.random() < 0.5:
+            i = rng.randrange(1, n)
+            E[i] = combination(F, E[:i], [rng.randrange(F.q) for _ in range(i)])
         P = PolyMatrix(F, 1, [[Polynomial.constant(F, 1, x) for x in row] for row in E])
         cofactor = _det_cofactor(P, tuple(range(n)), {})
         assert cofactor == leibniz_det(P)
@@ -253,6 +267,36 @@ def test_superregular_iff_systematic_code_is_mds(A):
         for u in product(range(A.field.q), repeat=A.rows) if any(u)
     )
     assert is_superregular(A).verdict == (min_weight >= A.cols + 1)
+
+
+# Prime, tabled and untabled extension fields: GF(2^11) and the GF(9) built
+# from its irreducible are above and outside `make_field`'s table limit.
+SCAN_FIELDS = SMALL_FIELDS + [make_field(13), make_field(1021), make_field(2, 10),
+                              make_field(2, 11), FiniteField(3, 2, F9.irreducible)]
+
+
+@st.composite
+def scan_cases(draw):
+    """Matrices up to 5x5 whose row t - 1, for a drawn t, combines the rows
+    above it, so every t x t minor on rows 0..t-1 is zero.  Over a large
+    field the first zero minor is then t x t; over a small one, or with zero
+    entries, a smaller one comes first."""
+    F = draw(st.sampled_from(SCAN_FIELDS))
+    t = draw(st.integers(1, 5))
+    r, s = draw(st.integers(t, 5)), draw(st.integers(t, 5))
+    entry = st.integers(draw(st.integers(0, 1)), F.q - 1)
+    E = [[draw(entry) for _ in range(s)] for _ in range(r)]
+    if t > 1:
+        E[t - 1] = combination(F, E[:t - 1], [draw(st.integers(0, F.q - 1)) for _ in range(t - 1)])
+    return ConstMatrix(F, tuple(map(tuple, E)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_cases())
+def test_scan_report_matches_leibniz_oracle(A):
+    # The whole report, not only the verdict: the count up to the first zero
+    # minor and that minor, against a scan of Leibniz determinants.
+    assert is_superregular(A) == scan_report(A)
 
 
 @settings(max_examples=150, deadline=None)
