@@ -178,7 +178,7 @@ def phi_flatten(G: PolyMatrix) -> FlattenedMatrix:
     for r, (row, d) in enumerate(zip(G.entries, G.row_degrees())):
         # A zero row carries no support; emit its single degree-0 slice
         # (all zeros), which correctly fails any superregularity check.
-        for alpha in monomials_upto(0 if d == NEG_INF else int(d), G.m):
+        for alpha in monomials_upto(max(d, 0), G.m):
             rows.append(tuple(p.coeff(alpha) for p in row))
             index.append((r + 1, alpha))
     return FlattenedMatrix(ConstMatrix(G.field, tuple(rows)), tuple(index))
@@ -235,66 +235,54 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
     and a superregular flattening give free distance n*C(d_k+m, m).  The
     profile picks only the labels: RATE_1N for k = 1, else STAIRCASE_KN for
     k - 1 rows of degree nu + 1 over one of degree nu, else
-    MD_STAIRCASE_BOUND.  The flattening is scanned only when the length
-    condition holds.  A distance below the Singleton bound for degree
-    sum(d_i) is CERTIFIED_DISTANCE, not CERTIFIED_MDS, and fails the
-    hypothesis `meets_singleton_bound`.  NOT_CERTIFIED makes no claim of
+    MD_STAIRCASE_BOUND.  The flattening is scanned when the length condition
+    holds, and for a profile the rule does not recognize, so that its
+    certificate still reports the scan.  A distance below the Singleton bound
+    for degree sum(d_i) is CERTIFIED_DISTANCE, not CERTIFIED_MDS, and fails
+    the hypothesis `meets_singleton_bound`.  NOT_CERTIFIED makes no claim of
     non-MDS-ness."""
     m, k, n = code.m, code.k, code.n
     degrees = code.generator.row_degrees()
-    if any(d == NEG_INF for d in degrees):
-        return MdsCertificate(
-            MD_STAIRCASE_BOUND,
-            (Hypothesis("nonzero_rows", False, "generator contains a zero row"),),
-            NOT_CERTIFIED,
-        )
-    degrees = [int(d) for d in degrees]
+    if NEG_INF in degrees:
+        zero_row = Hypothesis("nonzero_rows", False, "generator contains a zero row")
+        return MdsCertificate(MD_STAIRCASE_BOUND, (zero_row,), NOT_CERTIFIED)
     nu = degrees[-1]
     need = _min_length(degrees)
-
     if k == 1:
-        theorem = RATE_1N
-        profile = Hypothesis("single_row_generator", True, f"k = 1, row degree {nu}")
-        length, length_detail = "length_at_least_degree_plus_one", f"n = {n}, delta + 1 = {need}"
+        theorem, hyps = RATE_1N, [
+            Hypothesis("single_row_generator", True, f"k = 1, row degree {nu}"),
+            Hypothesis("length_at_least_degree_plus_one", n >= need,
+                       f"n = {n}, delta + 1 = {need}"),
+        ]
     elif degrees == [nu + 1] * (k - 1) + [nu]:
-        theorem = STAIRCASE_KN
-        profile = Hypothesis(
-            "staircase_row_degrees", True, f"{k - 1} rows of degree {nu + 1}, one of degree {nu}"
-        )
-        length, length_detail = "length_condition", f"n = {n}, k(nu+2) - 1 = {need}"
+        theorem, hyps = STAIRCASE_KN, [
+            Hypothesis("staircase_row_degrees", True,
+                       f"{k - 1} rows of degree {nu + 1}, one of degree {nu}"),
+            Hypothesis("length_condition", n >= need, f"n = {n}, k(nu+2) - 1 = {need}"),
+        ]
     elif all(a >= b for a, b in zip(degrees, degrees[1:])) and degrees[-2] > nu:
-        theorem = MD_STAIRCASE_BOUND
-        profile = Hypothesis(
-            "descending_row_degrees", True, f"profile {degrees}, last degree strictly smallest"
-        )
-        length, length_detail = "length_condition", f"n = {n}, required {need}"
+        theorem, hyps = MD_STAIRCASE_BOUND, [
+            Hypothesis("descending_row_degrees", True,
+                       f"profile {degrees}, last degree strictly smallest"),
+            Hypothesis("length_condition", n >= need, f"n = {n}, required {need}"),
+        ]
     else:
-        sr = _superregularity_hypothesis(code.generator)
-        return MdsCertificate(
-            MD_STAIRCASE_BOUND,
-            (
-                Hypothesis(
-                    "recognized_row_degree_profile",
-                    False,
-                    f"profile {degrees} matches no construction theorem",
-                ),
-                sr,
-            ),
-            NOT_CERTIFIED,
-        )
-
-    hyps = [profile, Hypothesis(length, n >= need, length_detail)]
-    if n >= need:
+        theorem, hyps = MD_STAIRCASE_BOUND, [Hypothesis(
+            "recognized_row_degree_profile", False,
+            f"profile {degrees} matches no construction theorem",
+        )]
+    # Scan an unrecognized profile, or a recognized one whose length holds.
+    if not hyps[0].passed or hyps[1].passed:
         hyps.append(_superregularity_hypothesis(code.generator))
     if not all(h.passed for h in hyps):
         return MdsCertificate(theorem, tuple(hyps), NOT_CERTIFIED)
     distance = staircase_distance_bound(m, n, nu)
     bound = singleton_bound(m, k, n, sum(degrees))
-    if distance == bound:
-        return MdsCertificate(theorem, tuple(hyps), CERTIFIED_MDS, distance)
-    detail = f"certified distance {distance}, Singleton bound {bound}"
-    hyps.append(Hypothesis("meets_singleton_bound", False, detail))
-    return MdsCertificate(theorem, tuple(hyps), CERTIFIED_DISTANCE, distance)
+    if distance != bound:
+        detail = f"certified distance {distance}, Singleton bound {bound}"
+        hyps.append(Hypothesis("meets_singleton_bound", False, detail))
+    verdict = CERTIFIED_MDS if distance == bound else CERTIFIED_DISTANCE
+    return MdsCertificate(theorem, tuple(hyps), verdict, distance)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +292,45 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
 Source = Union[str, ConstMatrix]
 
 
-def _construct(
+def construct_mds_rate_1n(
     F: FiniteField,
     m: int,
-    profile: list[int],
     n: int,
-    source: Source,
-    seed: int,
-    max_tries: int,
+    delta: int,
+    source: Source = "cauchy",
+    seed: int = 0,
+    max_tries: int = 10_000,
 ) -> tuple[CodeDescriptor, MdsCertificate]:
-    """Lift each candidate source into one row per degree of `profile` and
-    return the first lift of that profile that `certify` passes."""
+    """Build a certified MDS rate-1/n code of degree `delta` in m variables
+    from a superregular C(delta+m, m) x n matrix: the staircase with k = 1."""
+    return construct_mds_staircase(F, m, 1, n, delta, source, seed, max_tries)
+
+
+def construct_mds_staircase(
+    F: FiniteField,
+    m: int,
+    k: int,
+    n: int,
+    nu: int,
+    source: Source = "cauchy",
+    seed: int = 0,
+    max_tries: int = 10_000,
+) -> tuple[CodeDescriptor, MdsCertificate]:
+    """Build a certified MDS rate-k/n code of degree k*nu + k - 1: k - 1 rows
+    of degree nu + 1 and one row of degree nu, flattening superregular.
+    Each candidate source is lifted into one row per degree of that profile,
+    and the first lift of the profile that `certify` passes is returned."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    profile = [nu + 1] * (k - 1) + [nu]
     if n < (need := _min_length(profile)):
         raise ValueError(f"need n >= {need}, got n = {n}")
     rows = sum(support_count(d, m) for d in profile)
     if isinstance(source, ConstMatrix):
         if (source.rows, source.cols) != (rows, n):
             raise ValueError(f"explicit matrix is {source.rows}x{source.cols}, need {rows}x{n}")
+        if source.field != F:
+            raise ValueError(f"explicit matrix is over GF({source.field.q}), need GF({F.q})")
         candidates = [source]
     elif source == "cauchy":
         if F.q < rows + n:
@@ -350,37 +360,6 @@ def _construct(
     raise ConstructionError("source matrix is not superregular")
 
 
-def construct_mds_rate_1n(
-    F: FiniteField,
-    m: int,
-    n: int,
-    delta: int,
-    source: Source = "cauchy",
-    seed: int = 0,
-    max_tries: int = 10_000,
-) -> tuple[CodeDescriptor, MdsCertificate]:
-    """Build a certified MDS rate-1/n code of degree `delta` in m variables
-    from a superregular C(delta+m, m) x n matrix: the staircase with k = 1."""
-    return construct_mds_staircase(F, m, 1, n, delta, source, seed, max_tries)
-
-
-def construct_mds_staircase(
-    F: FiniteField,
-    m: int,
-    k: int,
-    n: int,
-    nu: int,
-    source: Source = "cauchy",
-    seed: int = 0,
-    max_tries: int = 10_000,
-) -> tuple[CodeDescriptor, MdsCertificate]:
-    """Build a certified MDS rate-k/n code of degree k*nu + k - 1: k - 1 rows
-    of degree nu + 1 and one row of degree nu, flattening superregular."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _construct(F, m, [nu + 1] * (k - 1) + [nu], n, source, seed, max_tries)
-
-
 # ---------------------------------------------------------------------------
 # Singleton-bound proof witness
 # ---------------------------------------------------------------------------
@@ -398,7 +377,7 @@ def singleton_witness(code: CodeDescriptor) -> tuple[PolyMatrix, PolyMatrix, int
     if not G.has_full_row_rank():
         raise ValueError("generator matrix is not full row rank")
     k, m, F = code.k, code.m, code.field
-    degrees = [int(d) for d in G.row_degrees()]
+    degrees = G.row_degrees()
     block = [r for r in range(k) if degrees[r] == min(degrees)]
 
     zero_alpha = (0,) * m

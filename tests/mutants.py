@@ -72,6 +72,19 @@ MUTANTS = [
     ("shift filter needs one variable only", "distance.py",
      "self.low_ok[l]).all(axis=1)", "self.low_ok[l]).any(axis=1)",
      (DIST, "normalized_enumeration or split_kernel or skip_only_empty")),
+    ("descending profile test made strict", "codes.py",
+     "all(a >= b for a, b in zip(", "all(a > b for a, b in zip(",
+     ("tests/test_codes.py", "golden")),
+    ("equal last two degrees recognized", "codes.py",
+     "and degrees[-2] > nu:", "and degrees[-2] >= nu:",
+     ("tests/test_codes.py", "worked_example_not_certified")),
+    ("unrecognized profile left unscanned", "codes.py",
+     "if not hyps[0].passed or hyps[1].passed:", "if hyps[0].passed and hyps[1].passed:",
+     ("tests/test_codes.py", "golden")),
+    ("explicit source field not checked", "codes.py",
+     "        if source.field != F:\n            raise ValueError(f\"explicit matrix is over GF("
+     "{source.field.q}), need GF({F.q})\")\n", "",
+     ("tests/test_codes.py", "another_field")),
     ("witness block of greatest degree", "codes.py",
      "degrees[r] == min(degrees)", "degrees[r] == max(degrees)",
      ("tests/test_codes.py", "witness")),

@@ -317,6 +317,17 @@ def test_construct_rejects_max_tries_below_one(construct, max_tries):
         construct(source="random", max_tries=max_tries)
 
 
+@pytest.mark.parametrize("construct", [
+    lambda S: construct_mds_rate_1n(F11, 2, 3, 1, source=S),
+    lambda S: construct_mds_staircase(F11, 1, 2, 3, 0, source=S),
+], ids=["rate_1n", "staircase"])
+def test_construct_rejects_explicit_source_over_another_field(construct):
+    # The 3x3 shape fits both constructions; only the field is wrong.
+    S = cauchy_matrix(F7, [0, 1, 2], [3, 4, 5])
+    with pytest.raises(ValueError, match=r"^explicit matrix is over GF\(7\), need GF\(11\)$"):
+        construct(S)
+
+
 def _scanned_matrices(monkeypatch):
     """Record every matrix handed to `is_superregular`, by either module."""
     scanned = []
@@ -545,6 +556,10 @@ GOLDEN_CERTIFICATES = [
     ("md_staircase_sr_fail",
      lambda: _lifted(F11, 1, [2, 0], [[1, 2, 3, 4], [0, 1, 1, 1], [1, 5, 6, 7], [1, 1, 1, 1]]),
      '{"certified_distance": null, "hypotheses": [{"detail": "profile [2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 4, required 4", "name": "length_condition", "passed": true}, {"detail": "zero minor at rows [1], cols [0]", "name": "flatten_superregular", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
+    # Equal leading degrees: the profile need only descend, with its last
+    # degree strictly smallest.
+    ("md_staircase_equal_leading_degrees", lambda: _lifted(F17, 1, [2, 2, 0], _cauchy(F17, 7, 7)),
+     '{"certified_distance": 7, "hypotheses": [{"detail": "profile [2, 2, 0], last degree strictly smallest", "name": "descending_row_degrees", "passed": true}, {"detail": "n = 7, required 7", "name": "length_condition", "passed": true}, {"detail": "all 3431 minors nonzero", "name": "flatten_superregular", "passed": true}, {"detail": "certified distance 7, Singleton bound 13", "name": "meets_singleton_bound", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "CERTIFIED_DISTANCE"}'),
     ("unrecognized_profile", lambda: _lifted(F5, 1, [0, 1], [[1, 2, 3], [1, 1, 1], [1, 4, 2]]),
      '{"certified_distance": null, "hypotheses": [{"detail": "profile [0, 1] matches no construction theorem", "name": "recognized_row_degree_profile", "passed": false}, {"detail": "zero minor at rows [0, 1, 2], cols [0, 1, 2]", "name": "flatten_superregular", "passed": false}], "theorem": "MD_STAIRCASE_BOUND", "verdict": "NOT_CERTIFIED"}'),
     ("zero_row", _zero_row_code,
