@@ -34,7 +34,6 @@ pay for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
@@ -199,7 +198,8 @@ class _Enumerator:
         W += np.take(self.low, l, axis=0)
         # Each digit sum is below 2p, so it is zero mod p iff it is 0 or p.
         nz = (W != 0) & (W != self.F.p)
-        w = np.count_nonzero(reduce(np.logical_or, np.hsplit(nz, self.F.e)), axis=1)
+        # Columns are digit-major, so axis 1 of the reshape is the digit.
+        w = np.count_nonzero(nz.reshape(len(nz), self.F.e, -1).any(axis=1), axis=1)
         if self.stop_below is not None:
             hits = np.flatnonzero(w < self.stop_below)
             if len(hits):

@@ -2,11 +2,14 @@
 
 Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
 generation, and a seeded stream of random candidate matrices.  One Gaussian
-elimination routine, `_echelon`, serves the determinant, the nullspace and
-the minor scan.  Its contract: it brings a list-of-lists matrix to row
-echelon form in place, by determinant-preserving row operations only, and
-returns the pivot column of each pivot row, so the rank is the pivot count
-and a square matrix's determinant is the product of the diagonal.
+elimination routine, the `echelon` that `_eliminator(F)` returns, serves the
+determinant, the nullspace and the minor scan.  Its contract: it brings a
+list-of-lists matrix to row echelon form in place, by determinant-preserving
+row operations only, and returns the pivot column of each pivot row, so the
+rank is the pivot count and a square matrix's determinant is the product of
+the diagonal.  Its field operations are bound once per caller (once per
+scan in `is_superregular`, once per call in `det` and `nullspace`), and each
+pivot's inverse is negated once, not once per eliminated row.
 """
 
 from __future__ import annotations
@@ -15,13 +18,18 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from typing import Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .galois import FiniteField, GaloisError, json_get, json_int, json_list
 
 
 class SearchExhaustedError(RuntimeError):
-    """Random superregular search ran out of tries (field likely too small)."""
+    """The seeded random search gave up after max_tries draws.
+
+    Unlike the Ball-bound refusal (`codes.FieldTooSmallError`), this does not
+    prove that no superregular matrix of the shape exists over the field.
+    """
 
 
 @dataclass(frozen=True)
@@ -71,42 +79,50 @@ class SuperregularityReport:
         return out
 
 
-def _echelon(F: FiniteField, M: list[list[int]]) -> list[int]:
-    """Bring M to row echelon form in place; return the pivot column of each row.
+def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
+    """The elimination over F, with F's operations bound once per caller.
 
-    Only row operations that keep the determinant are used: adding a multiple
-    of the pivot row to a row below it, and swapping two rows while negating one.
-    The pivot of column c is the first row at or below the next pivot row
-    with a nonzero entry there; a column without one is skipped.  The loops
-    run by index, so a call allocates nothing but the pivot list.
+    The returned `echelon(M)` brings M to row echelon form in place and
+    returns the pivot column of each row.  Only row operations that keep the
+    determinant are used: adding a multiple of the pivot row to a row below
+    it, and swapping two rows while negating one.  The pivot of column c is
+    the first row at or below the next pivot row with a nonzero entry there;
+    a column without one is skipped.  Each pivot's inverse is negated once,
+    and the loops run by index, so a call allocates nothing but the pivot
+    list.  F's operations are bound when this is called, never cached across
+    calls, so a method replaced on `FiniteField` after set-up is the one used.
     """
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
-    nrows, ncols = len(M), len(M[0])
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        for pr in range(row, nrows):
-            if M[pr][col]:
-                break
-        else:
-            continue
-        P = M[pr]
-        if pr != row:
-            Q = M[row]
-            M[row], M[pr] = P, Q
-            for c in range(col, ncols):
-                Q[c] = neg(Q[c])
-        pinv = inv(P[col])
-        for r in range(row + 1, nrows):
-            R = M[r]
-            if R[col]:
-                f = neg(mul(R[col], pinv))
-                R[col] = 0
-                for c in range(col + 1, ncols):
-                    R[c] = add(R[c], mul(f, P[c]))
-        pivots.append(col)
-        row += 1
-    return pivots
+
+    def echelon(M: list[list[int]]) -> list[int]:
+        nrows, ncols = len(M), len(M[0])
+        pivots: list[int] = []
+        row = 0
+        for col in range(ncols):
+            for pr in range(row, nrows):
+                if M[pr][col]:
+                    break
+            else:
+                continue
+            P = M[pr]
+            if pr != row:
+                Q = M[row]
+                M[row], M[pr] = P, Q
+                for c in range(col, ncols):
+                    Q[c] = neg(Q[c])
+            npinv = neg(inv(P[col]))
+            for r in range(row + 1, nrows):
+                R = M[r]
+                if R[col]:
+                    f = mul(R[col], npinv)
+                    R[col] = 0
+                    for c in range(col + 1, ncols):
+                        R[c] = add(R[c], mul(f, P[c]))
+            pivots.append(col)
+            row += 1
+        return pivots
+
+    return echelon
 
 
 def det(A: ConstMatrix) -> int:
@@ -115,7 +131,7 @@ def det(A: ConstMatrix) -> int:
     if A.rows != A.cols:
         raise ValueError("determinant requires a square matrix")
     M = [list(row) for row in A.entries]
-    if len(_echelon(A.field, M)) < A.rows:
+    if len(_eliminator(A.field)(M)) < A.rows:
         return 0
     return reduce(A.field.mul, (M[i][i] for i in range(A.rows)), 1)
 
@@ -125,16 +141,22 @@ def is_superregular(A: ConstMatrix) -> SuperregularityReport:
 
     Enumeration is by ascending minor size, lexicographic subsets, with
     early exit on the first zero minor; 1x1 minors go first, so a zero
-    entry fails immediately.
+    entry fails immediately.  Each size's column subsets are listed once,
+    each with one getter that copies a row's entries in those columns.
     """
-    F, E = A.field, A.entries
+    E = A.entries
+    echelon = _eliminator(A.field)
     checked = 0
     for size in range(1, min(A.rows, A.cols) + 1):
+        # A one-index itemgetter would return the entry itself, so the 1x1
+        # level reads each entry through a one-entry slice.
+        subsets = [(c, itemgetter(*c) if size > 1 else itemgetter(slice(c[0], c[0] + 1)))
+                   for c in combinations(range(A.cols), size)]
         for rsub in combinations(range(A.rows), size):
             rows = [E[i] for i in rsub]
-            for csub in combinations(range(A.cols), size):
+            for csub, get in subsets:
                 checked += 1
-                if len(_echelon(F, [[row[j] for j in csub] for row in rows])) < size:
+                if len(echelon(list(map(list, map(get, rows))))) < size:
                     return SuperregularityReport(False, checked, (rsub, csub, 0))
     return SuperregularityReport(True, checked)
 
@@ -178,7 +200,8 @@ def random_matrices(
                 F, tuple(tuple(rng.randrange(1, F.q) for _ in range(s)) for _ in range(r))
             )
         raise SearchExhaustedError(
-            f"no superregular {r}x{s} matrix over GF({F.q}) in {max_tries} tries"
+            f"seeded random search gave up: no superregular {r}x{s} matrix over "
+            f"GF({F.q}) in {max_tries} tries; this does not show that none exists"
         )
 
     return draws()
@@ -195,8 +218,9 @@ def nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
     """Basis of the right nullspace {v : A v = 0}: for each free column, the
     solution with 1 there and 0 at the other free columns."""
     F = A.field
+    add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
     M = [list(row) for row in A.entries]
-    pivots = _echelon(F, M)
+    pivots = _eliminator(F)(M)
     basis = []
     for fc in (c for c in range(A.cols) if c not in pivots):
         v = [0] * A.cols
@@ -204,8 +228,8 @@ def nullspace(A: ConstMatrix) -> list[tuple[int, ...]]:
         for row, pc in reversed(list(zip(M, pivots))):
             acc = 0
             for c in range(pc + 1, A.cols):
-                acc = F.add(acc, F.mul(row[c], v[c]))
-            v[pc] = F.neg(F.mul(acc, F.inv(row[pc])))
+                acc = add(acc, mul(row[c], v[c]))
+            v[pc] = neg(mul(acc, inv(row[pc])))
         basis.append(tuple(v))
     return basis
 

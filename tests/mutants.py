@@ -40,11 +40,14 @@ MUTANTS = [
      "if F.q**L <= self.rows)", "if F.q**L <= 2 * self.rows)",
      (DIST, "low_table")),
     ("first digit plane only", "distance.py",
-     "reduce(np.logical_or, np.hsplit(nz, self.F.e))", "np.hsplit(nz, self.F.e)[0]",
+     "nz.reshape(len(nz), self.F.e, -1).any(axis=1)", "nz.reshape(len(nz), self.F.e, -1)[:, 0]",
      (DIST, "extension_field")),
     ("row swap without negating a row", "superreg.py",
-     "            for c in range(col, ncols):\n                Q[c] = neg(Q[c])\n", "",
+     "                for c in range(col, ncols):\n                    Q[c] = neg(Q[c])\n", "",
      (SR, "det_matches_cofactor")),
+    ("pivot inverse not negated", "superreg.py",
+     "neg(inv(P[col]))", "inv(P[col])",
+     (SR, "det_matches_cofactor or scan_report")),
     ("pivot search starts at row 0", "superreg.py",
      "for pr in range(row, nrows):", "for pr in range(nrows):",
      (SR, "det_matches_cofactor or scan_report")),
@@ -97,6 +100,12 @@ MUTANTS = [
     ("largest minor size not scanned", "superreg.py",
      "range(1, min(A.rows, A.cols) + 1)", "range(1, min(A.rows, A.cols))",
      (SR, "superregular")),
+    ("1x1 getter reads two entries", "superreg.py",
+     "slice(c[0], c[0] + 1)", "slice(c[0], c[0] + 2)",
+     (SR, "scan_report")),
+    ("last column left out of the subsets", "superreg.py",
+     "for c in combinations(range(A.cols), size)]", "for c in combinations(range(A.cols - 1), size)]",
+     (SR, "scan_report")),
 ]
 
 

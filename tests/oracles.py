@@ -1,7 +1,7 @@
 """Slow exact oracles over the public matrix data, for the tests only.
 
 The determinant is the Leibniz sum over permutations, so it shares no code
-with `multipoly._det_cofactor` (cofactor expansion) or `superreg._echelon`
+with `multipoly._det_cofactor` (cofactor expansion) or `superreg._eliminator`
 (elimination); the minors, internal degree, unimodularity and the rank of
 a constant matrix rest on it, and so does `scan_report`, the minor scan's
 report recomputed minor by minor.

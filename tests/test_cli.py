@@ -206,6 +206,16 @@ def test_random_source_beyond_ball_bound_exit_3():
         assert "r + s <= q + 1" in res.stderr
 
 
+def test_random_search_giving_up_exit_3_says_it_proves_nothing():
+    # 3x9 over GF(11) passes the Ball preflight (r + s = q + 1) and such
+    # matrices exist, but seed 0's first draw is not superregular.
+    res = run_cli("construct", "--p", "11", "--m", "2", "--n", "9", "--delta", "1",
+                  "--source", "random", "--seed", "0", "--max-tries", "1")
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == ("error: seeded random search gave up: no superregular 3x9 matrix "
+                          "over GF(11) in 1 tries; this does not show that none exists\n")
+
+
 def test_json_non_integers_exit_2(tmp_path):
     mat = tmp_path / "mat.json"
     mat.write_text(json.dumps({"field": {"p": 5, "e": 1}, "entries": [[1.9, "2"], [True, 4]]}))

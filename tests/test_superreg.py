@@ -11,6 +11,7 @@ from mdconv.multipoly import Polynomial, PolyMatrix, _det_cofactor
 from mdconv.superreg import (
     ConstMatrix,
     SearchExhaustedError,
+    SuperregularityReport,
     cauchy_matrix,
     det,
     is_superregular,
@@ -18,7 +19,7 @@ from mdconv.superreg import (
     random_matrices,
     random_superregular,
 )
-from oracles import leibniz_det, rank, scan_report, submatrix, transpose
+from oracles import const_det, leibniz_det, rank, scan_report, submatrix, transpose
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -297,6 +298,28 @@ def test_scan_report_matches_leibniz_oracle(A):
     # The whole report, not only the verdict: the count up to the first zero
     # minor and that minor, against a scan of Leibniz determinants.
     assert is_superregular(A) == scan_report(A)
+
+
+# The oracle property above stops at 5x5; the two scans below have the
+# shapes of the certify benchmark's largest passing and failing scans.
+def test_scan_report_gf23_8x8_cauchy_checks_every_minor():
+    A = cauchy_matrix(make_field(23), range(8), range(8, 16))
+    assert is_superregular(A) == SuperregularityReport(True, 12_869)  # C(16, 8) - 1
+
+
+def test_scan_report_gf23_7x7_injected_zero_minor_matches_oracle():
+    # Entry (6, 6) set so that the 3x3 minor on rows (0, 2, 6), cols (1, 2, 6)
+    # is zero: the minor is linear in that entry, with the 2x2 minor on rows
+    # (0, 2), cols (1, 2) as coefficient.  No smaller minor becomes zero.
+    F = make_field(23)
+    A = cauchy_matrix(F, range(7), range(7, 14))
+    rs, cs = (0, 2, 6), (1, 2, 6)
+    E = [list(row) for row in A.entries]
+    E[6][6] = 0
+    rest = const_det(submatrix(ConstMatrix(F, tuple(map(tuple, E))), rs, cs))
+    E[6][6] = F.neg(F.mul(rest, F.inv(const_det(submatrix(A, rs[:2], cs[:2])))))
+    B = ConstMatrix(F, tuple(map(tuple, E)))
+    assert is_superregular(B) == scan_report(B) == SuperregularityReport(False, 789, (rs, cs, 0))
 
 
 @settings(max_examples=150, deadline=None)
