@@ -83,7 +83,7 @@ def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
     """The elimination over F, with F's operations bound once per caller.
 
     The returned `echelon(M)` brings M to row echelon form in place and
-    returns the pivot column of each row.  Only row operations that keep the
+    returns the pivot column of each pivot row.  Only row operations that keep the
     determinant are used: adding a multiple of the pivot row to a row below
     it, and swapping two rows while negating one.  The pivot of column c is
     the first row at or below the next pivot row with a nonzero entry there;
