@@ -1,15 +1,16 @@
 """Constant-matrix linear algebra over GF(q).
 
 Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
-generation, and a seeded stream of random candidate matrices.  One Gaussian
-elimination routine, the `echelon` that `_eliminator(F)` returns, serves the
-determinant, the nullspace and the minor scan.  Its contract: it brings a
-list-of-lists matrix to row echelon form in place, by determinant-preserving
-row operations only, and returns the pivot column of each pivot row, so the
-rank is the pivot count and a square matrix's determinant is the product of
-the diagonal.  Its field operations are bound once per caller (once per
-scan in `is_superregular`, once per call in `det` and `nullspace`), and each
-pivot's inverse is negated once, not once per eliminated row.
+generation, and a seeded stream of random candidate matrices.  The minor
+scan tests 1x1 and 2x2 minors by their definitions and eliminates from size
+3 on, with the one Gaussian elimination routine, the `echelon` that
+`_eliminator(F)` returns, which also serves the determinant and nullspace.
+Its contract: it brings a list-of-lists matrix to row echelon form in place,
+by determinant-preserving row operations only, and returns the pivot column
+of each pivot row, so the rank is the pivot count and a square matrix's
+determinant is the product of the diagonal.  Its field operations are bound
+once per caller, and a pivot's negated inverse is computed once, only when
+a row lies below the pivot row.
 """
 
 from __future__ import annotations
@@ -87,10 +88,12 @@ def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
     determinant are used: adding a multiple of the pivot row to a row below
     it, and swapping two rows while negating one.  The pivot of column c is
     the first row at or below the next pivot row with a nonzero entry there;
-    a column without one is skipped.  Each pivot's inverse is negated once,
-    and the loops run by index, so a call allocates nothing but the pivot
-    list.  F's operations are bound when this is called, never cached across
-    calls, so a method replaced on `FiniteField` after set-up is the one used.
+    a column without one is skipped.  A pivot's inverse is negated once, and
+    computed only when a row lies below the pivot row (the last pivot of a
+    square matrix eliminates nothing).  The loops run by index, so a call
+    allocates nothing but the pivot list.  F's operations are bound when this
+    is called, never cached across calls, so a method replaced on
+    `FiniteField` after set-up is the one used.
     """
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
 
@@ -110,14 +113,15 @@ def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
                 M[row], M[pr] = P, Q
                 for c in range(col, ncols):
                     Q[c] = neg(Q[c])
-            npinv = neg(inv(P[col]))
-            for r in range(row + 1, nrows):
-                R = M[r]
-                if R[col]:
-                    f = mul(R[col], npinv)
-                    R[col] = 0
-                    for c in range(col + 1, ncols):
-                        R[c] = add(R[c], mul(f, P[c]))
+            if row + 1 < nrows:
+                npinv = neg(inv(P[col]))
+                for r in range(row + 1, nrows):
+                    R = M[r]
+                    if R[col]:
+                        f = mul(R[col], npinv)
+                        R[col] = 0
+                        for c in range(col + 1, ncols):
+                            R[c] = add(R[c], mul(f, P[c]))
             pivots.append(col)
             row += 1
         return pivots
@@ -140,18 +144,29 @@ def is_superregular(A: ConstMatrix) -> SuperregularityReport:
     """Check that every minor of every size is nonzero.
 
     Enumeration is by ascending minor size, lexicographic subsets, with
-    early exit on the first zero minor; 1x1 minors go first, so a zero
-    entry fails immediately.  Each size's column subsets are listed once,
-    each with one getter that copies a row's entries in those columns.
+    early exit on the first zero minor.  Levels 1 and 2 are tested by
+    definition: each entry in row-major order is nonzero, then each 2x2
+    minor has a·d != b·c, with no inverse.  From size 3 on, each size's
+    column subsets are listed once, each with one getter that copies a row's
+    entries in those columns, and each minor is eliminated.
     """
     E = A.entries
+    mul = A.field.mul
     echelon = _eliminator(A.field)
-    checked = 0
-    for size in range(1, min(A.rows, A.cols) + 1):
-        # A one-index itemgetter would return the entry itself, so the 1x1
-        # level reads each entry through a one-entry slice.
-        subsets = [(c, itemgetter(*c) if size > 1 else itemgetter(slice(c[0], c[0] + 1)))
-                   for c in combinations(range(A.cols), size)]
+    for i, row in enumerate(E):
+        if 0 in row:
+            j = row.index(0)
+            return SuperregularityReport(False, i * A.cols + j + 1, ((i,), (j,), 0))
+    checked = A.rows * A.cols
+    cpairs = list(combinations(range(A.cols), 2))
+    for r0, r1 in combinations(range(A.rows), 2):
+        R0, R1 = E[r0], E[r1]
+        for c0, c1 in cpairs:
+            checked += 1
+            if mul(R0[c0], R1[c1]) == mul(R0[c1], R1[c0]):
+                return SuperregularityReport(False, checked, ((r0, r1), (c0, c1), 0))
+    for size in range(3, min(A.rows, A.cols) + 1):
+        subsets = [(c, itemgetter(*c)) for c in combinations(range(A.cols), size)]
         for rsub in combinations(range(A.rows), size):
             rows = [E[i] for i in rsub]
             for csub, get in subsets:

@@ -98,11 +98,17 @@ MUTANTS = [
      "(term if j % 2 == 0 else -term)", "(term if j % 2 else -term)",
      ("tests/test_multipoly.py", "minors_match")),
     ("largest minor size not scanned", "superreg.py",
-     "range(1, min(A.rows, A.cols) + 1)", "range(1, min(A.rows, A.cols))",
-     (SR, "superregular")),
-    ("1x1 getter reads two entries", "superreg.py",
-     "slice(c[0], c[0] + 1)", "slice(c[0], c[0] + 2)",
+     "range(3, min(A.rows, A.cols) + 1)", "range(3, min(A.rows, A.cols))",
+     (SR, "superregular or scan_report")),
+    ("level-1 failing index transposed", "superreg.py",
+     "((i,), (j,), 0)", "((j,), (i,), 0)",
      (SR, "scan_report")),
+    ("level-2 cross term wrong", "superreg.py",
+     "mul(R0[c1], R1[c0])", "mul(R0[c1], R1[c1])",
+     (SR, "scan_report")),
+    ("last-pivot guard off by one", "superreg.py",
+     "row + 1 < nrows", "row + 2 < nrows",
+     (SR, "det_matches_cofactor or scan_report")),
     ("last column left out of the subsets", "superreg.py",
      "for c in combinations(range(A.cols), size)]", "for c in combinations(range(A.cols - 1), size)]",
      (SR, "scan_report")),

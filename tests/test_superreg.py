@@ -67,6 +67,35 @@ def test_repeated_rows_fail():
     assert rep.failing_minor == ((0, 1), (0, 1), 0)
 
 
+def test_scan_report_zero_2x2_minor_only_under_field_multiplication():
+    # 1·3 = 2·2 = 3 in GF(4), so the full minor is zero though 1·3 != 2·2 as
+    # integers; over GF(5) the same entries give 3 != 4 and pass.
+    E = ((1, 2), (2, 3))
+    assert is_superregular(ConstMatrix(F4, E)) == SuperregularityReport(False, 5, ((0, 1), (0, 1), 0))
+    assert is_superregular(ConstMatrix(F5, E)) == SuperregularityReport(True, 5)
+
+
+def test_scan_report_zero_last_entry_of_3x5():
+    E = [[1] * 5 for _ in range(3)]
+    E[2][4] = 0
+    rep = is_superregular(ConstMatrix(F7, tuple(map(tuple, E))))
+    assert rep == SuperregularityReport(False, 15, ((2,), (4,), 0))
+
+
+@pytest.mark.parametrize("F", [F7, F8])
+def test_scan_inverse_counts(F, monkeypatch):
+    # Counted through FiniteField.inv, as the benchmark's tracer counts:
+    # 1x1 and 2x2 minors need no inverse, and a 3x3 minor's last pivot,
+    # which has no row below it, needs none either.
+    A2 = cauchy_matrix(F, [0, 1], [2, 3, 4, 5])
+    A3 = cauchy_matrix(F, [0, 1, 2], [3, 4, 5])
+    calls = []
+    inv = FiniteField.inv
+    monkeypatch.setattr(FiniteField, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    assert is_superregular(A2).verdict and len(calls) == 0
+    assert is_superregular(A3).verdict and len(calls) == 2
+
+
 def test_minor_count_formula():
     A = random_superregular(F7, 2, 3, seed=5)
     rep = is_superregular(A)
