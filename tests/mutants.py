@@ -26,6 +26,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DIST = "tests/test_distance.py"
 SR = "tests/test_superreg.py"
+CLI = "tests/test_cli.py"
 MUTANTS = [
     ("digit dtype sized for p - 1", "distance.py",
      "np.min_scalar_type(2 * (p - 1))", "np.min_scalar_type(p - 1)",
@@ -112,6 +113,16 @@ MUTANTS = [
     ("last column left out of the subsets", "superreg.py",
      "for c in combinations(range(A.cols), size)]", "for c in combinations(range(A.cols - 1), size)]",
      (SR, "scan_report")),
+    ("exit codes of holds swapped", "cli.py",
+     "EXIT_OK if holds else EXIT_PROPERTY_FAILED", "EXIT_PROPERTY_FAILED if holds else EXIT_OK",
+     (CLI, "golden")),
+    ("--pretty ignored", "cli.py",
+     "if args.pretty:", "if False:",
+     (CLI, "golden or pretty_flag")),
+    ("construct -o prints the code too", "cli.py",
+     "    return cert.to_json(), True\n",
+     "    return {\"code\": code.to_json(), \"certificate\": cert.to_json()}, True\n",
+     (CLI, "golden")),
 ]
 
 

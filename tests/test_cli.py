@@ -293,11 +293,6 @@ def test_selftest():
     assert all(c["passed"] for c in json.loads(res.stdout)["checks"])
 
 
-def test_pretty_flag_changes_format_not_content():
-    plain = run_cli("bound", "--m", "3", "--k", "1", "--n", "3", "--delta", "2")
-    assert plain.stdout.strip() == "30"
-
-
 def test_certify_distance_below_singleton_bound_exit_1(tmp_path):
     from mdconv import CodeDescriptor, cauchy_matrix, phi_lift
 
@@ -455,3 +450,83 @@ def test_repeated_exponent_vector_exits_2(tmp_path):
     res = run_cli("encode", "-i", str(path), "--message", "[[[[0],1],[[0],2]]]")
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "error: repeated exponent vector [0] in polynomial\n"
+
+
+# Input files for the in-process commands below, which run in one directory.
+CLI_INPUTS = {
+    "pass.json": {"field": {"p": 3, "e": 1}, "entries": [[1, 1], [1, 2]]},
+    "fail.json": {"field": {"p": 7, "e": 1}, "entries": [[1, 2], [2, 4]]},
+}
+
+# One or more commands per subcommand that prints an object.  The `-o`
+# commands write the code files that the later ones read.
+OBJECT_COMMANDS = [
+    ["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1"],
+    ["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1", "-o", "c7.json"],
+    ["construct-staircase", "--p", "17", "--m", "1", "--k", "2", "--n", "3", "--nu", "0"],
+    ["construct-staircase", "--p", "17", "--m", "1", "--k", "2", "--n", "3", "--nu", "0",
+     "-o", "s17.json"],
+    ["flatten", "-i", "s17.json"],
+    ["check-sr", "-i", "pass.json"],
+    ["check-sr", "-i", "fail.json"],
+    ["certify", "-i", "c7.json"],
+    ["certify", "-i", "s17.json"],
+    ["witness", "-i", "c7.json"],
+    ["encode", "-i", "c7.json", "--message", "[[[[0], 1], [[1], 2]]]"],
+    ["distance", "-i", "c7.json", "--cap", "2"],
+    ["distance", "-i", "c7.json", "--cap", "2", "--stop-below", "5"],
+    ["selftest"],
+]
+
+BOUND = ["bound", "--m", "3", "--k", "1", "--n", "3", "--delta", "2"]
+
+# Every subcommand with and without --pretty, then the exits 2 and 3.
+GOLDEN_COMMANDS = [pre + argv for pre in ([], ["--pretty"])
+                   for argv in [BOUND, *OBJECT_COMMANDS]] + [
+    ["distance", "-i", "c7.json", "--cap", "1", "--workers", "0"],
+    ["encode", "-i", "c7.json", "--message", "-1e5"],
+    ["certify", "-i", "missing.json"],
+    ["construct", "--p", "2", "--m", "2", "--n", "3", "--delta", "1", "--source", "cauchy"],
+    ["construct", "--p", "5", "--m", "2", "--n", "4", "--delta", "1", "--source", "random"],
+]
+
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
+
+
+def _write_cli_inputs(directory) -> None:
+    for name, obj in CLI_INPUTS.items():
+        Path(directory, name).write_text(json.dumps(obj), encoding="utf-8")
+
+
+def _golden_run(argv) -> dict:
+    """Exit code, stdout, stderr and the `-o` file of one in-process command."""
+    written = argv[argv.index("-o") + 1] if "-o" in argv else None
+    if written:
+        Path(written).unlink(missing_ok=True)
+    code, out, err = _main_in_process(argv)
+    files = {written: Path(written).read_text(encoding="utf-8")} if written else {}
+    return {"argv": argv, "exit": code, "stdout": out, "stderr": err, "files": files}
+
+
+def test_pretty_flag_changes_format_not_content(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_cli_inputs(tmp_path)
+    assert _main_in_process(BOUND) == _main_in_process(["--pretty", *BOUND]) == (0, "30\n", "")
+    for argv in OBJECT_COMMANDS:
+        code, plain, err = _main_in_process(argv)
+        pretty_code, pretty, pretty_err = _main_in_process(["--pretty", *argv])
+        assert err == pretty_err == "", argv
+        assert code == pretty_code, argv
+        assert json.loads(plain) == json.loads(pretty), argv
+        assert plain.count("\n") == 1 and pretty.count("\n") > 2, argv
+
+
+def test_cli_output_matches_golden(tmp_path, monkeypatch):
+    # The expected bytes are `_golden_run` over these commands at an earlier
+    # commit; re-record them only for an intended change of output.
+    monkeypatch.chdir(tmp_path)
+    _write_cli_inputs(tmp_path)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert [case["argv"] for case in expected] == GOLDEN_COMMANDS
+    for case in expected:
+        assert _golden_run(case["argv"]) == case
