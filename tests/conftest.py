@@ -1,5 +1,19 @@
-"""Tests that start `python -m mdconv.cli` in a subprocess need the package on
-the child's path too; `pythonpath` in pyproject.toml covers only this process."""
+"""Puts `src/` on the path of child interpreters too; `pythonpath` in
+pyproject.toml covers only this process.
+
+Tests drive the CLI in process through `cli_cases.in_process`.  These start
+`python -m mdconv.cli` (`cli_cases.run_subprocess`) or `python -c` instead,
+because a fresh interpreter or a kill timeout is what they test:
+- `test_cli.py::test_byte_identical_reruns` and `test_acceptance.py`
+  criterion 8: reruns under PYTHONHASHSEED 0 and 1;
+- `test_cli.py::test_python_m_entry_point_exits_with_mains_code`: the
+  `__main__` line passes `main`'s return value to the exit status;
+- `test_cli.py::test_construct_huge_prime_exit_2_fast` and
+  `test_construct_large_extension_degree_fast`: killed after 10 s if a
+  size check comes too late;
+- `test_distance.py::test_import_does_not_load_numpy`: what importing
+  `mdconv` loads.
+"""
 
 import os
 from pathlib import Path

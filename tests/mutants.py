@@ -123,6 +123,15 @@ MUTANTS = [
      "    return cert.to_json(), True\n",
      "    return {\"code\": code.to_json(), \"certificate\": cert.to_json()}, True\n",
      (CLI, "golden")),
+    ("only the whole --message flag bound", "cli.py",
+     '"--message".startswith(arg)', 'arg == "--message"',
+     (CLI, "negative_number")),
+    ("infeasible construction exits 2", "cli.py",
+     "return EXIT_INFEASIBLE", "return EXIT_USAGE",
+     (CLI, "golden")),
+    ("__main__ drops the exit code", "cli.py",
+     "sys.exit(main())", "main()",
+     (CLI, "entry_point")),
 ]
 
 

@@ -5,8 +5,6 @@ lines on standard output.
 """
 
 import random
-import subprocess
-import sys
 from functools import reduce
 from itertools import product
 
@@ -33,6 +31,7 @@ from mdconv.codes import (
 )
 from mdconv.distance import codeword_weight_profile, free_distance_estimate
 from mdconv.multipoly import monomials_upto
+from cli_cases import hash_seed_env, run_subprocess
 from oracles import full_size_minors, internal_degree, submatrix
 
 F2 = make_field(2)
@@ -208,13 +207,6 @@ def test_criterion_7_witness_suite():
     _report(7, "witness weight within the bound on 500 random full-rank generators")
 
 
-def _run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "mdconv.cli", *args],
-        capture_output=True, text=True, env=env,
-    )
-
-
 def test_criterion_8_round_trip_and_determinism(tmp_path):
     # Lift-of-flatten identity on all constructed codes.
     constructions = [
@@ -228,15 +220,12 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
         assert phi_lift(flat.matrix, code.m, plan) == code.generator
         assert phi_flatten(phi_lift(flat.matrix, code.m, plan)).matrix == flat.matrix
 
-    # Byte-identical CLI reruns.
+    # Byte-identical CLI reruns in fresh interpreters under two hash seeds.
     out = tmp_path / "code.json"
-    args = ("construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1",
-            "-o", str(out))
-    a, b = _run_cli(*args), _run_cli(*args)
-    assert a.stdout == b.stdout and a.returncode == b.returncode == 0
-    d1 = _run_cli("distance", "-i", str(out), "--cap", "2")
-    d2 = _run_cli("distance", "-i", str(out), "--cap", "2")
-    assert d1.stdout == d2.stdout
+    for argv in (["construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1", "-o", str(out)],
+                 ["distance", "-i", str(out), "--cap", "2"]):
+        a, b = (run_subprocess(argv, env=hash_seed_env(seed)) for seed in (0, 1))
+        assert a == b and a[0] == 0, argv
 
     # Worker-count independence on the criteria 3-5 instances.
     gens = [

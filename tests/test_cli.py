@@ -1,98 +1,96 @@
-import contextlib
 import functools
-import io
 import json
 import operator
 import os
 import re
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdconv import cli
+from cli_cases import (
+    BOUND,
+    OBJECT_COMMANDS,
+    golden_run,
+    hash_seed_env,
+    in_process,
+    load_golden,
+    run_subprocess,
+    write_cli_inputs,
+)
 from mdconv.galois import make_field
 from mdconv.multipoly import monomials_upto
 
 
-def run_cli(*args, **kw):
-    return subprocess.run(
-        [sys.executable, "-m", "mdconv.cli", *args],
-        capture_output=True, text=True, **kw,
-    )
-
-
 def test_bound_prints_value():
-    res = run_cli("bound", "--m", "2", "--k", "1", "--n", "3", "--delta", "1")
-    assert res.returncode == 0
-    assert res.stdout.strip() == "9"
+    assert in_process(["bound", "--m", "2", "--k", "1", "--n", "3", "--delta", "1"]) == (
+        0, "9\n", "")
 
 
 def test_bound_rejects_bad_dimensions():
-    res = run_cli("bound", "--m", "1", "--k", "3", "--n", "2", "--delta", "0")
-    assert res.returncode == 2
+    assert in_process(["bound", "--m", "1", "--k", "3", "--n", "2", "--delta", "0"]) == (
+        2, "", "error: invalid dimensions (m=1, k=3, n=2, delta=0)\n")
 
 
 def test_construct_certify_pipeline(tmp_path):
     out = tmp_path / "code.json"
-    res = run_cli(
+    code, stdout, _ = in_process([
         "construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1",
         "--source", "cauchy", "-o", str(out),
-    )
-    assert res.returncode == 0
-    cert = json.loads(res.stdout)
+    ])
+    assert code == 0
+    cert = json.loads(stdout)
     assert cert["verdict"] == "CERTIFIED_MDS"
     assert cert["certified_distance"] == 9
 
-    res2 = run_cli("certify", "-i", str(out))
-    assert res2.returncode == 0
-    assert json.loads(res2.stdout)["verdict"] == "CERTIFIED_MDS"
+    code, stdout, _ = in_process(["certify", "-i", str(out)])
+    assert code == 0
+    assert json.loads(stdout)["verdict"] == "CERTIFIED_MDS"
 
 
 def test_construct_field_too_small_exit_3():
-    res = run_cli("construct", "--p", "2", "--m", "2", "--n", "3", "--delta", "1",
-                  "--source", "cauchy")
-    assert res.returncode == 3
+    assert in_process(["construct", "--p", "2", "--m", "2", "--n", "3", "--delta", "1",
+                       "--source", "cauchy"]) == (
+        3, "", "error: Cauchy source needs q >= 6, field has q = 2\n")
 
 
 def test_construct_huge_prime_exit_2_fast():
     # 2^89 - 1 is prime but above the 2^62 field-size limit; the size check
     # comes before the primality test.
-    res = run_cli("construct", "--p", str(2**89 - 1), "--m", "1", "--n", "2",
-                  "--delta", "1", timeout=10)
-    assert res.returncode == 2
-    assert "too large" in res.stderr
+    code, _, err = run_subprocess(["construct", "--p", str(2**89 - 1), "--m", "1", "--n", "2",
+                                   "--delta", "1"], timeout=10)
+    assert code == 2
+    assert "too large" in err
 
 
 def test_construct_large_extension_degree_fast():
-    res = run_cli("construct", "--p", "2", "--e", "61", "--m", "1", "--n", "2",
-                  "--delta", "1", timeout=10)
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["certificate"]["verdict"] == "CERTIFIED_MDS"
+    code, out, _ = run_subprocess(["construct", "--p", "2", "--e", "61", "--m", "1", "--n", "2",
+                                   "--delta", "1"], timeout=10)
+    assert code == 0
+    assert json.loads(out)["certificate"]["verdict"] == "CERTIFIED_MDS"
 
 
 def test_construct_many_variables():
     # A recursive `monomials_upto`, one stack level per variable, overflowed
     # the interpreter's stack from about m = 500 on.
-    res = run_cli("construct", "--p", "7", "--m", "600", "--n", "3", "--delta", "0")
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout)["certificate"]["verdict"] == "CERTIFIED_MDS"
+    code, out, err = in_process(["construct", "--p", "7", "--m", "600", "--n", "3", "--delta", "0"])
+    assert code == 0, err
+    assert json.loads(out)["certificate"]["verdict"] == "CERTIFIED_MDS"
 
 
 def test_construct_staircase_and_flatten(tmp_path):
     out = tmp_path / "code.json"
-    res = run_cli(
+    code, stdout, _ = in_process([
         "construct-staircase", "--p", "17", "--m", "2", "--k", "2", "--n", "5",
         "--nu", "1", "-o", str(out),
-    )
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["certified_distance"] == 15
+    ])
+    assert code == 0
+    assert json.loads(stdout)["certified_distance"] == 15
 
-    flat = run_cli("flatten", "-i", str(out))
-    assert flat.returncode == 0
-    obj = json.loads(flat.stdout)
+    code, stdout, _ = in_process(["flatten", "-i", str(out)])
+    assert code == 0
+    obj = json.loads(stdout)
     assert len(obj["matrix"]["entries"]) == 9
     assert len(obj["row_index"]) == 9
 
@@ -100,9 +98,9 @@ def test_construct_staircase_and_flatten(tmp_path):
 def test_check_sr_zero_entry_exit_1(tmp_path):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"field": {"p": 5, "e": 1}, "entries": [[1, 0], [2, 3]]}))
-    res = run_cli("check-sr", "-i", str(path))
-    assert res.returncode == 1
-    rep = json.loads(res.stdout)
+    code, out, _ = in_process(["check-sr", "-i", str(path)])
+    assert code == 1
+    rep = json.loads(out)
     assert not rep["verdict"]
     assert rep["failing_minor"]["rows"] == [0]
     assert rep["failing_minor"]["cols"] == [1]
@@ -111,75 +109,76 @@ def test_check_sr_zero_entry_exit_1(tmp_path):
 def test_check_sr_pass_exit_0(tmp_path):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"field": {"p": 3, "e": 1}, "entries": [[1, 1], [1, 2]]}))
-    res = run_cli("check-sr", "-i", str(path))
-    assert res.returncode == 0
+    assert in_process(["check-sr", "-i", str(path)]) == (
+        0, '{"minors_checked":5,"verdict":true}\n', "")
 
 
 def test_encode_and_witness(tmp_path):
     out = tmp_path / "code.json"
-    run_cli("construct", "--p", "5", "--m", "1", "--n", "2", "--delta", "1",
-            "--source", "random", "--seed", "3", "-o", str(out))
+    in_process(["construct", "--p", "5", "--m", "1", "--n", "2", "--delta", "1",
+                "--source", "random", "--seed", "3", "-o", str(out)])
     msg = json.dumps([[[[0], 1]]])
-    res = run_cli("encode", "-i", str(out), "--message", msg)
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["weight"] > 0
+    code, stdout, _ = in_process(["encode", "-i", str(out), "--message", msg])
+    assert code == 0
+    assert json.loads(stdout)["weight"] > 0
 
-    wit = run_cli("witness", "-i", str(out))
-    assert wit.returncode == 0
-    obj = json.loads(wit.stdout)
+    code, stdout, _ = in_process(["witness", "-i", str(out)])
+    assert code == 0
+    obj = json.loads(stdout)
     assert obj["weight"] <= obj["singleton_bound"]
 
 
 def test_distance_exit_codes(tmp_path):
     out = tmp_path / "code.json"
-    run_cli("construct", "--p", "5", "--m", "1", "--n", "2", "--delta", "1",
-            "--source", "random", "--seed", "3", "-o", str(out))
-    ok = run_cli("distance", "-i", str(out), "--cap", "3", "--stop-below", "4")
-    assert ok.returncode == 0
-    rep = json.loads(ok.stdout)
+    in_process(["construct", "--p", "5", "--m", "1", "--n", "2", "--delta", "1",
+                "--source", "random", "--seed", "3", "-o", str(out)])
+    code, stdout, _ = in_process(["distance", "-i", str(out), "--cap", "3", "--stop-below", "4"])
+    assert code == 0
+    rep = json.loads(stdout)
     assert rep["min_weight"] == 4 and not rep["below_bound"]
 
-    bad = run_cli("distance", "-i", str(out), "--cap", "3", "--stop-below", "5")
-    assert bad.returncode == 1
-    assert json.loads(bad.stdout)["below_bound"]
+    code, stdout, _ = in_process(["distance", "-i", str(out), "--cap", "3", "--stop-below", "5"])
+    assert code == 1
+    assert json.loads(stdout)["below_bound"]
 
 
+# In process, pytest records warnings instead of letting them reach stderr;
+# "error" makes a warning of any category raise inside `main`.
+@pytest.mark.filterwarnings("error")
 def test_zero_row_code_writes_no_warning(tmp_path):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({
         "field": {"p": 5, "e": 1}, "m": 1, "k": 2, "n": 2,
         "generator": [[[[[0], 1], [[1], 1]], [[[0], 2]]], [[], []]],
     }))
-    for cmd, code in (("certify", 1), ("flatten", 0), ("distance", 0)):
-        res = run_cli(cmd, "-i", str(path))
-        assert (res.returncode, res.stderr) == (code, ""), cmd
-        json.loads(res.stdout)
-    res = run_cli("witness", "-i", str(path))
-    assert res.returncode == 2
-    assert res.stderr == "error: generator matrix is not full row rank\n"
+    for cmd, expected in (("certify", 1), ("flatten", 0), ("distance", 0)):
+        code, out, err = in_process([cmd, "-i", str(path)])
+        assert (code, err) == (expected, ""), cmd
+        json.loads(out)
+    assert in_process(["witness", "-i", str(path)]) == (
+        2, "", "error: generator matrix is not full row rank\n")
 
 
 def test_distance_int64_overflow_exit_2(tmp_path):
     from mdconv.codes import CodeDescriptor
-    from mdconv.galois import make_field
     from mdconv.multipoly import Polynomial, PolyMatrix
 
     F = make_field(2**32 - 5)
     G = PolyMatrix(F, 1, [[Polynomial(F, 1, {(0,): 1, (1,): 2})]])
     out = tmp_path / "code.json"
     out.write_text(json.dumps(CodeDescriptor.from_generator(G).to_json()))
-    res = run_cli("distance", "-i", str(out), "--cap", "0")
-    assert res.returncode == 2
-    assert "int64" in res.stderr and res.stdout == ""
+    code, stdout, err = in_process(["distance", "-i", str(out), "--cap", "0"])
+    assert code == 2
+    assert "int64" in err and stdout == ""
 
 
 def test_certify_k_above_n_not_certified_exit_1(tmp_path):
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"field": {"p": 5, "e": 1}, "m": 1, "k": 2, "n": 1,
                                 "generator": [[[[[0], 1], [[1], 1]]], [[[[0], 2]]]]}))
-    res = run_cli("certify", "-i", str(path))
-    assert res.returncode == 1
-    cert = json.loads(res.stdout)
+    code, out, _ = in_process(["certify", "-i", str(path)])
+    assert code == 1
+    cert = json.loads(out)
     assert cert["verdict"] == "NOT_CERTIFIED"
     assert cert["hypotheses"][1] == {"name": "length_condition", "passed": False,
                                      "detail": "n = 1, k(nu+2) - 1 = 3"}
@@ -187,110 +186,120 @@ def test_certify_k_above_n_not_certified_exit_1(tmp_path):
 
 def test_construct_max_tries_below_one_exit_2():
     # The last shape, 3x7 over GF(7), is beyond the q + 1 bound: exit 2 first.
-    for cmd, dims in [("construct", ("--m", "1", "--n", "2", "--delta", "1")),
-                      ("construct-staircase", ("--m", "1", "--k", "2", "--n", "3", "--nu", "0")),
-                      ("construct", ("--m", "2", "--n", "7", "--delta", "1"))]:
-        res = run_cli(cmd, "--p", "7", *dims, "--source", "random", "--max-tries", "-3")
-        assert res.returncode == 2
-        assert res.stderr == "error: max_tries must be at least 1, got -3\n"
+    for cmd, dims in [("construct", ["--m", "1", "--n", "2", "--delta", "1"]),
+                      ("construct-staircase", ["--m", "1", "--k", "2", "--n", "3", "--nu", "0"]),
+                      ("construct", ["--m", "2", "--n", "7", "--delta", "1"])]:
+        assert in_process([cmd, "--p", "7", *dims, "--source", "random", "--max-tries", "-3"]) == (
+            2, "", "error: max_tries must be at least 1, got -3\n")
 
 
 def test_random_source_beyond_ball_bound_exit_3():
     # 3x4 over GF(5) and 9x5 over GF(7): r + s > q + 1, refused before the
     # first of the 10,000 default tries.
-    for cmd, dims in [("construct", ("--p", "5", "--m", "2", "--n", "4", "--delta", "1")),
+    for cmd, dims in [("construct", ["--p", "5", "--m", "2", "--n", "4", "--delta", "1"]),
                       ("construct-staircase",
-                       ("--p", "7", "--m", "2", "--k", "2", "--n", "5", "--nu", "1"))]:
-        res = run_cli(cmd, *dims, "--source", "random")
-        assert (res.returncode, res.stdout) == (3, "")
-        assert "r + s <= q + 1" in res.stderr
+                       ["--p", "7", "--m", "2", "--k", "2", "--n", "5", "--nu", "1"])]:
+        code, out, err = in_process([cmd, *dims, "--source", "random"])
+        assert (code, out) == (3, "")
+        assert "r + s <= q + 1" in err
 
 
 def test_random_search_giving_up_exit_3_says_it_proves_nothing():
     # 3x9 over GF(11) passes the Ball preflight (r + s = q + 1) and such
     # matrices exist, but seed 0's first draw is not superregular.
-    res = run_cli("construct", "--p", "11", "--m", "2", "--n", "9", "--delta", "1",
-                  "--source", "random", "--seed", "0", "--max-tries", "1")
-    assert (res.returncode, res.stdout) == (3, "")
-    assert res.stderr == ("error: seeded random search gave up: no superregular 3x9 matrix "
-                          "over GF(11) in 1 tries; this does not show that none exists\n")
+    assert in_process(["construct", "--p", "11", "--m", "2", "--n", "9", "--delta", "1",
+                       "--source", "random", "--seed", "0", "--max-tries", "1"]) == (
+        3, "", "error: seeded random search gave up: no superregular 3x9 matrix "
+               "over GF(11) in 1 tries; this does not show that none exists\n")
 
 
 def test_json_non_integers_exit_2(tmp_path):
     mat = tmp_path / "mat.json"
     mat.write_text(json.dumps({"field": {"p": 5, "e": 1}, "entries": [[1.9, "2"], [True, 4]]}))
-    res = run_cli("check-sr", "-i", str(mat))
-    assert (res.returncode, res.stdout) == (2, "")
-    assert "expected an integer, got 1.9" in res.stderr
+    code, out, err = in_process(["check-sr", "-i", str(mat)])
+    assert (code, out) == (2, "")
+    assert "expected an integer, got 1.9" in err
 
-    out = tmp_path / "code.json"
-    assert run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1",
-                   "-o", str(out)).returncode == 0
-    code = json.loads(out.read_text())
-    bad_coeff = json.loads(out.read_text())
+    path = tmp_path / "code.json"
+    assert in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1",
+                       "-o", str(path)])[0] == 0
+    code_doc = json.loads(path.read_text())
+    bad_coeff = json.loads(path.read_text())
     bad_coeff["generator"][0][0][0][1] = 2.7
-    for bad in [bad_coeff, {**code, "m": "1"}]:
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(bad))
-        res = run_cli("certify", "-i", str(path))
-        assert (res.returncode, res.stdout) == (2, "")
-        assert "expected an integer" in res.stderr
+    for bad in [bad_coeff, {**code_doc, "m": "1"}]:
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        code, out, err = in_process(["certify", "-i", str(bad_path)])
+        assert (code, out) == (2, "")
+        assert "expected an integer" in err
 
-    res = run_cli("encode", "-i", str(out), "--message", "[[[[0], 1.5]]]")
-    assert (res.returncode, res.stdout) == (2, "")
-    assert "expected an integer, got 1.5" in res.stderr
+    code, out, err = in_process(["encode", "-i", str(path), "--message", "[[[[0], 1.5]]]"])
+    assert (code, out) == (2, "")
+    assert "expected an integer, got 1.5" in err
 
 
 def test_json_wrong_shape_exit_2(tmp_path):
     # JSON that parses but has the wrong structure is a usage error, not a
     # failed property: one `error:` line, no traceback, nothing on stdout.
-    code = tmp_path / "code.json"
-    assert run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1",
-                   "-o", str(code)).returncode == 0
+    code_path = tmp_path / "code.json"
+    assert in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1",
+                       "-o", str(code_path)])[0] == 0
     matrix = tmp_path / "matrix.json"
     matrix.write_text(json.dumps({"field": {"p": 5}, "entries": 5}))
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
-    for args in [("check-sr", "-i", str(matrix)), ("certify", "-i", str(listed)),
-                 ("encode", "-i", str(code), "--message", "5")]:
-        res = run_cli(*args)
-        assert (res.returncode, res.stdout) == (2, ""), res.stderr
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    for argv in [["check-sr", "-i", str(matrix)], ["certify", "-i", str(listed)],
+                 ["encode", "-i", str(code_path), "--message", "5"]]:
+        code, out, err = in_process(argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_input_exit_2():
-    res = run_cli("certify", "-i", "/nonexistent/code.json")
-    assert res.returncode == 2
+    assert in_process(["certify", "-i", "/nonexistent/code.json"]) == (
+        2, "", "error: [Errno 2] No such file or directory: '/nonexistent/code.json'\n")
 
 
 def test_byte_identical_reruns(tmp_path):
+    # Fresh interpreters under two fixed hash seeds: output that depended on
+    # string-hash order would differ on every run, not only by chance.
     out = tmp_path / "code.json"
-    args = ("construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1",
-            "--source", "random", "--seed", "9", "-o", str(out))
-    first = run_cli(*args)
-    blob1 = out.read_bytes()
-    second = run_cli(*args)
-    assert first.stdout == second.stdout
-    assert blob1 == out.read_bytes()
+    construct = ["construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1",
+                 "--source", "random", "--seed", "9", "-o", str(out)]
+    first = run_subprocess(construct, env=hash_seed_env(0))
+    blob = out.read_bytes()
+    assert first[0] == 0
+    assert run_subprocess(construct, env=hash_seed_env(1)) == first
+    assert out.read_bytes() == blob
 
-    d1 = run_cli("distance", "-i", str(out), "--cap", "2")
-    d2 = run_cli("distance", "-i", str(out), "--cap", "2")
-    assert d1.stdout == d2.stdout
+    distance = ["distance", "-i", str(out), "--cap", "2"]
+    d0 = run_subprocess(distance, env=hash_seed_env(0))
+    assert d0[0] == 0
+    assert run_subprocess(distance, env=hash_seed_env(1)) == d0
+
+
+def test_python_m_entry_point_exits_with_mains_code(tmp_path, monkeypatch):
+    # The `__main__` line must pass `main`'s return value to the exit status.
+    monkeypatch.chdir(tmp_path)
+    write_cli_inputs(tmp_path)
+    argv = ["check-sr", "-i", "fail.json"]
+    result = run_subprocess(argv)
+    assert result[0] == 1
+    assert result == in_process(argv)
 
 
 def test_distance_workers_below_one_exit_2(tmp_path):
     out = tmp_path / "code.json"
-    run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1", "-o", str(out))
+    in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1", "-o", str(out)])
     for workers in ("0", "-2"):
-        res = run_cli("distance", "-i", str(out), "--cap", "1", "--workers", workers)
-        assert (res.returncode, res.stdout, res.stderr) == (
+        assert in_process(["distance", "-i", str(out), "--cap", "1", "--workers", workers]) == (
             2, "", f"error: workers must be at least 1, got {workers}\n")
 
 
 def test_selftest():
-    res = run_cli("selftest")
-    assert res.returncode == 0
-    assert all(c["passed"] for c in json.loads(res.stdout)["checks"])
+    code, out, _ = in_process(["selftest"])
+    assert code == 0
+    assert all(c["passed"] for c in json.loads(out)["checks"])
 
 
 def test_certify_distance_below_singleton_bound_exit_1(tmp_path):
@@ -300,18 +309,17 @@ def test_certify_distance_below_singleton_bound_exit_1(tmp_path):
     G = phi_lift(cauchy_matrix(F, range(4), range(4, 8)), 1, [(1, 2), (1, 0)])
     path = tmp_path / "code.json"
     path.write_text(json.dumps(CodeDescriptor.from_generator(G).to_json()))
-    res = run_cli("certify", "-i", str(path))
-    assert res.returncode == 1
-    cert = json.loads(res.stdout)
+    code, out, _ = in_process(["certify", "-i", str(path)])
+    assert code == 1
+    cert = json.loads(out)
     assert (cert["verdict"], cert["certified_distance"]) == ("CERTIFIED_DISTANCE", 4)
     assert cert["hypotheses"][-1] == {"name": "meets_singleton_bound", "passed": False,
                                       "detail": "certified distance 4, Singleton bound 7"}
 
 
 def test_construct_length_precondition_exit_2():
-    res = run_cli("construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "2")
-    assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr == "error: need n >= 3, got n = 2\n"
+    assert in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "2"]) == (
+        2, "", "error: need n >= 3, got n = 2\n")
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -322,8 +330,7 @@ def test_readme_library_example_and_bound_line_run():
     example = re.search(r"## Library example\n+```python\n(.*?)```", text, re.S).group(1)
     exec(compile(example, "README.md", "exec"), {})
     line = re.search(r"^mdconv (bound .*?)\s+# prints the distance bound: (\d+)$", text, re.M)
-    res = run_cli(*line.group(1).split())
-    assert (res.returncode, res.stdout) == (0, line.group(2) + "\n")
+    assert in_process(line.group(1).split()) == (0, line.group(2) + "\n", "")
     assert line.group(1) == "bound --m 2 --k 1 --n 3 --delta 1" and line.group(2) == "9"
 
 
@@ -380,13 +387,6 @@ def cli_inputs(draw, cmd):
     return extra, doc
 
 
-def _main_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(["flatten", "check-sr", "certify", "witness", "encode", "distance"]),
        st.data())
@@ -396,7 +396,7 @@ def test_malformed_json_exits_cleanly(cmd, data):
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        code, out, err = _main_in_process([cmd, "-i", path, *extra])
+        code, out, err = in_process([cmd, "-i", path, *extra])
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code in (2, 3):
@@ -409,21 +409,19 @@ def test_malformed_json_exits_cleanly(cmd, data):
 
 def test_negative_number_message_reaches_the_json_reader(tmp_path):
     # argparse would take -1e5 for an option and exit outside `main`'s handler.
-    _, out, _ = _main_in_process(["construct", "--p", "7", "--m", "1", "--n", "2",
-                                  "--delta", "1"])
+    _, out, _ = in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1"])
     path = tmp_path / "code.json"
     path.write_text(json.dumps(json.loads(out)["code"]))
     tiny = "-2.2250738585072014e-308"
     # argparse accepts any unambiguous abbreviation of the flag.
     for flag in ("--message", "--messag", "--mess", "--m"):
         for message, shown in [("-1e5", "-100000.0"), (tiny, tiny), ("-1", "-1")]:
-            assert _main_in_process(["encode", "-i", str(path), flag, message]) == (
+            assert in_process(["encode", "-i", str(path), flag, message]) == (
                 2, "", f"error: expected a list, got {shown}\n")
 
 
 def test_json_shape_errors_name_the_input(tmp_path):
-    _, out, _ = _main_in_process(["construct", "--p", "7", "--m", "1", "--n", "2",
-                                  "--delta", "1"])
+    _, out, _ = in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1"])
     doc = json.loads(out)["code"]
     cases = [
         ({k: v for k, v in doc.items() if k != "generator"}, "missing key 'generator'"),
@@ -438,83 +436,25 @@ def test_json_shape_errors_name_the_input(tmp_path):
     path = tmp_path / "code.json"
     for bad, message in cases:
         path.write_text(json.dumps(bad))
-        assert _main_in_process(["certify", "-i", str(path)]) == (2, "", f"error: {message}\n")
+        assert in_process(["certify", "-i", str(path)]) == (2, "", f"error: {message}\n")
 
 
 def test_repeated_exponent_vector_exits_2(tmp_path):
     # A repeated term is refused, not read as its last coefficient.
-    _, out, _ = _main_in_process(["construct", "--p", "7", "--m", "1", "--n", "2",
-                                  "--delta", "1"])
+    _, out, _ = in_process(["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1"])
     path = tmp_path / "code.json"
     path.write_text(json.dumps(json.loads(out)["code"]))
-    res = run_cli("encode", "-i", str(path), "--message", "[[[[0],1],[[0],2]]]")
-    assert (res.returncode, res.stdout) == (2, "")
-    assert res.stderr == "error: repeated exponent vector [0] in polynomial\n"
-
-
-# Input files for the in-process commands below, which run in one directory.
-CLI_INPUTS = {
-    "pass.json": {"field": {"p": 3, "e": 1}, "entries": [[1, 1], [1, 2]]},
-    "fail.json": {"field": {"p": 7, "e": 1}, "entries": [[1, 2], [2, 4]]},
-}
-
-# One or more commands per subcommand that prints an object.  The `-o`
-# commands write the code files that the later ones read.
-OBJECT_COMMANDS = [
-    ["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1"],
-    ["construct", "--p", "7", "--m", "1", "--n", "2", "--delta", "1", "-o", "c7.json"],
-    ["construct-staircase", "--p", "17", "--m", "1", "--k", "2", "--n", "3", "--nu", "0"],
-    ["construct-staircase", "--p", "17", "--m", "1", "--k", "2", "--n", "3", "--nu", "0",
-     "-o", "s17.json"],
-    ["flatten", "-i", "s17.json"],
-    ["check-sr", "-i", "pass.json"],
-    ["check-sr", "-i", "fail.json"],
-    ["certify", "-i", "c7.json"],
-    ["certify", "-i", "s17.json"],
-    ["witness", "-i", "c7.json"],
-    ["encode", "-i", "c7.json", "--message", "[[[[0], 1], [[1], 2]]]"],
-    ["distance", "-i", "c7.json", "--cap", "2"],
-    ["distance", "-i", "c7.json", "--cap", "2", "--stop-below", "5"],
-    ["selftest"],
-]
-
-BOUND = ["bound", "--m", "3", "--k", "1", "--n", "3", "--delta", "2"]
-
-# Every subcommand with and without --pretty, then the exits 2 and 3.
-GOLDEN_COMMANDS = [pre + argv for pre in ([], ["--pretty"])
-                   for argv in [BOUND, *OBJECT_COMMANDS]] + [
-    ["distance", "-i", "c7.json", "--cap", "1", "--workers", "0"],
-    ["encode", "-i", "c7.json", "--message", "-1e5"],
-    ["certify", "-i", "missing.json"],
-    ["construct", "--p", "2", "--m", "2", "--n", "3", "--delta", "1", "--source", "cauchy"],
-    ["construct", "--p", "5", "--m", "2", "--n", "4", "--delta", "1", "--source", "random"],
-]
-
-GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
-
-
-def _write_cli_inputs(directory) -> None:
-    for name, obj in CLI_INPUTS.items():
-        Path(directory, name).write_text(json.dumps(obj), encoding="utf-8")
-
-
-def _golden_run(argv) -> dict:
-    """Exit code, stdout, stderr and the `-o` file of one in-process command."""
-    written = argv[argv.index("-o") + 1] if "-o" in argv else None
-    if written:
-        Path(written).unlink(missing_ok=True)
-    code, out, err = _main_in_process(argv)
-    files = {written: Path(written).read_text(encoding="utf-8")} if written else {}
-    return {"argv": argv, "exit": code, "stdout": out, "stderr": err, "files": files}
+    assert in_process(["encode", "-i", str(path), "--message", "[[[[0],1],[[0],2]]]"]) == (
+        2, "", "error: repeated exponent vector [0] in polynomial\n")
 
 
 def test_pretty_flag_changes_format_not_content(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _write_cli_inputs(tmp_path)
-    assert _main_in_process(BOUND) == _main_in_process(["--pretty", *BOUND]) == (0, "30\n", "")
+    write_cli_inputs(tmp_path)
+    assert in_process(BOUND) == in_process(["--pretty", *BOUND]) == (0, "30\n", "")
     for argv in OBJECT_COMMANDS:
-        code, plain, err = _main_in_process(argv)
-        pretty_code, pretty, pretty_err = _main_in_process(["--pretty", *argv])
+        code, plain, err = in_process(argv)
+        pretty_code, pretty, pretty_err = in_process(["--pretty", *argv])
         assert err == pretty_err == "", argv
         assert code == pretty_code, argv
         assert json.loads(plain) == json.loads(pretty), argv
@@ -522,11 +462,17 @@ def test_pretty_flag_changes_format_not_content(tmp_path, monkeypatch):
 
 
 def test_cli_output_matches_golden(tmp_path, monkeypatch):
-    # The expected bytes are `_golden_run` over these commands at an earlier
-    # commit; re-record them only for an intended change of output.
+    # The expected bytes are `golden_run` over each case's argv at an earlier
+    # commit; re-record them only for an intended change of output.  The file
+    # opens with every subcommand without, then with, --pretty.
     monkeypatch.chdir(tmp_path)
-    _write_cli_inputs(tmp_path)
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert [case["argv"] for case in expected] == GOLDEN_COMMANDS
+    write_cli_inputs(tmp_path)
+    expected = load_golden()
+    pairs = [pre + argv for pre in ([], ["--pretty"]) for argv in [BOUND, *OBJECT_COMMANDS]]
+    assert [case["argv"] for case in expected[:len(pairs)]] == pairs
     for case in expected:
-        assert _golden_run(case["argv"]) == case
+        assert golden_run(case["argv"]) == case
+    # Every --workers count runs the same search.
+    d1, d2 = (case["stdout"] for case in expected
+              if case["argv"][:3] == ["distance", "-i", "c32.json"])
+    assert d1 == d2
