@@ -48,18 +48,3 @@ from .distance import (
     encode,
     free_distance_estimate,
 )
-
-__all__ = [
-    "FiniteField", "GaloisError", "make_field",
-    "NEG_INF", "Polynomial", "PolyMatrix", "monomials_upto", "term_key",
-    "ConstMatrix", "SearchExhaustedError", "SuperregularityReport",
-    "cauchy_matrix", "is_superregular", "nullspace", "random_superregular",
-    "CERTIFIED_DISTANCE", "CERTIFIED_MDS", "MD_STAIRCASE_BOUND", "NOT_CERTIFIED", "RATE_1N",
-    "STAIRCASE_KN", "CodeDescriptor", "ConstructionError", "FieldTooSmallError",
-    "FlattenedMatrix", "MdsCertificate", "certify", "construct_mds_rate_1n",
-    "construct_mds_staircase", "phi_flatten", "phi_lift", "singleton_bound",
-    "singleton_witness", "staircase_distance_bound", "support_count",
-    "support_count_identity_check",
-    "DistanceReport", "codeword_weight_profile", "default_cap", "encode",
-    "free_distance_estimate",
-]

@@ -21,7 +21,7 @@ import sys
 
 from .galois import json_list, make_field
 from .multipoly import PolyMatrix, Polynomial
-from .superreg import ConstMatrix, SearchExhaustedError, cauchy_matrix, is_superregular
+from .superreg import MAX_TRIES, ConstMatrix, SearchExhaustedError, cauchy_matrix, is_superregular
 from .codes import (
     CERTIFIED_MDS,
     CodeDescriptor,
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         dims(p, *names)
         p.add_argument("--source", choices=["cauchy", "random"], default="cauchy")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-tries", type=int, default=10_000)
+        p.add_argument("--max-tries", type=int, default=MAX_TRIES)
         p.add_argument("-o", "--output", help="write the code JSON here")
 
     command("flatten", _flatten, "print the flattened constant matrix of a code",

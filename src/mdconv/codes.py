@@ -1,25 +1,6 @@
-"""Flattening, the generalized Singleton bound, MDS constructions, and
-certificates for multidimensional convolutional codes.
-
-The flattening of a polynomial row of degree d in m variables stacks the
-coefficient row-vectors of every monomial of total degree <= d (zero
-coefficients included), in canonical order: ascending lexicographic on the
-reversed exponent tuple, which is exactly the recursion on the last
-variable.  Multi-row matrices flatten row by row, block after block.
-
-Certification is one rule.  A generator with row degrees d_1 >= ... >=
-d_{k-1} > d_k (any single row included) has free distance n*C(d_k+m, m)
-when n >= sum_{i<k}(d_i + 1) + d_k + 1 and its flattening is superregular;
-it is MDS when that distance meets the generalized Singleton bound.  The
-three construction theorems RATE_1N (k = 1), STAIRCASE_KN (k - 1 rows of
-degree nu + 1 over one of degree nu) and MD_STAIRCASE_BOUND (any other such
-profile) label this rule and differ only in how a certificate names its
-hypotheses.
-
-A construction lifts a candidate source matrix into one row per degree of
-its profile.  When the lift has that profile its flattening is the source
-itself, so the construction's certificate is its only superregularity check:
-a source is never scanned before it is lifted.
+"""Flattening, the generalized Singleton bound, certificates and MDS
+constructions for multidimensional convolutional codes.  `certify` holds the
+one certification rule, and a construction returns only a code it certifies.
 """
 
 from __future__ import annotations
@@ -37,7 +18,7 @@ from .multipoly import (
     monomials_upto,
 )
 from . import superreg
-from .superreg import ConstMatrix, cauchy_matrix, is_superregular, random_matrices
+from .superreg import MAX_TRIES, ConstMatrix, cauchy_matrix, is_superregular, random_matrices
 
 RATE_1N = "RATE_1N"
 STAIRCASE_KN = "STAIRCASE_KN"
@@ -299,7 +280,7 @@ def construct_mds_rate_1n(
     delta: int,
     source: Source = "cauchy",
     seed: int = 0,
-    max_tries: int = 10_000,
+    max_tries: int = MAX_TRIES,
 ) -> tuple[CodeDescriptor, MdsCertificate]:
     """Build a certified MDS rate-1/n code of degree `delta` in m variables
     from a superregular C(delta+m, m) x n matrix: the staircase with k = 1."""
@@ -314,12 +295,14 @@ def construct_mds_staircase(
     nu: int,
     source: Source = "cauchy",
     seed: int = 0,
-    max_tries: int = 10_000,
+    max_tries: int = MAX_TRIES,
 ) -> tuple[CodeDescriptor, MdsCertificate]:
     """Build a certified MDS rate-k/n code of degree k*nu + k - 1: k - 1 rows
     of degree nu + 1 and one row of degree nu, flattening superregular.
     Each candidate source is lifted into one row per degree of that profile,
-    and the first lift of the profile that `certify` passes is returned."""
+    and the first lift of the profile that `certify` passes is returned.  Such
+    a lift flattens to its source, so its certificate is the source's only
+    superregularity scan."""
     if k < 1:
         raise ValueError("k must be >= 1")
     profile = [nu + 1] * (k - 1) + [nu]

@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .galois import to_digits
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
 
 #: Most codeword digits (rows x n*T*e) one batch, or the low-part table,
@@ -109,7 +110,7 @@ class _Enumerator:
 
         def mul_block(g: int) -> list[list[int]]:
             # Row i: the digits of g * x^i, the image of the i-th basis element.
-            return [[F.mul(g, p**i) // p**j % p for j in range(e)] for i in range(e)]
+            return [to_digits(F.mul(g, p**i), p, e) for i in range(e)]
 
         # Linear encode map over GF(p): the e message digits of coefficient
         # (j, alpha) -> digit d of codeword coefficient (i, alpha + beta), in

@@ -81,6 +81,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# --- element codes and their base-p digits, ascending ---
+
+def to_digits(code: int, p: int, e: int) -> list[int]:
+    """The e base-p digits of `code`, least significant first."""
+    out = []
+    for _ in range(e):
+        out.append(code % p)
+        code //= p
+    return out
+
+
+def from_digits(digits: Sequence[int], p: int) -> int:
+    """The code whose base-p digits, least significant first, are `digits`."""
+    acc = 0
+    for d in reversed(digits):
+        acc = acc * p + d
+    return acc
+
+
 # --- GF(p)[x]: coefficient lists, ascending ---
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -108,10 +127,9 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[i
 def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
     """Monic degree-`deg` polynomials over GF(p), nonzero constant term,
     ascending by the integer sum(c_i * p^i) over the non-leading coefficients."""
-    digits = FiniteField(p, deg)._digits
     for code in range(p**deg):
         if code % p:
-            yield tuple(digits(code)) + (1,)
+            yield tuple(to_digits(code, p, deg)) + (1,)
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -123,7 +141,7 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     h = p  # the code of x
     for _ in range(deg // 2):
         h = ring.pow(h, p)
-        r0, r1 = coeffs, _trim(ring._digits(ring.sub(h, p)))
+        r0, r1 = coeffs, _trim(to_digits(ring.sub(h, p), p, deg))
         while r1:
             r0, r1 = r1, _poly_divmod(r0, r1, p)[1]
         if len(r0) > 1:
@@ -154,21 +172,6 @@ class FiniteField:
     def q(self) -> int:
         return self.p**self.e
 
-    # -- element encoding ------------------------------------------------
-
-    def _digits(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            out.append(code % self.p)
-            code //= self.p
-        return out
-
-    def _code(self, digits: list[int]) -> int:
-        acc = 0
-        for d in reversed(digits):
-            acc = acc * self.p + d
-        return acc
-
     def check(self, a: int) -> int:
         if type(a) is not int or not 0 <= a < self.q:
             raise GaloisError(f"{a!r} is not an element code of GF({self.q})")
@@ -182,8 +185,9 @@ class FiniteField:
         if self.p == 2:
             return a ^ b
         if self._zech is None:
-            da, db = self._digits(a), self._digits(b)
-            return self._code([(x + y) % self.p for x, y in zip(da, db)])
+            p, e = self.p, self.e
+            da, db = to_digits(a, p, e), to_digits(b, p, e)
+            return from_digits([(x + y) % p for x, y in zip(da, db)], p)
         if not (a and b):
             return a or b
         # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]).  The zech
@@ -206,7 +210,8 @@ class FiniteField:
             # -1 = g^((q-1)/2), and (q-1)/2 = q // 2 = len(log) // 2 for odd q.
             exp, log = self._log_exp
             return exp[log[a] + len(log) // 2]
-        return self._code([(-x) % self.p for x in self._digits(a)])
+        p = self.p
+        return from_digits([(-x) % p for x in to_digits(a, p, self.e)], p)
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -214,13 +219,14 @@ class FiniteField:
         if self._log_exp is not None:
             exp, log = self._log_exp
             return exp[log[a] + log[b]] if a and b else 0
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * self.e - 1)
+        p, e = self.p, self.e
+        da, db = to_digits(a, p, e), to_digits(b, p, e)
+        prod = [0] * (2 * e - 1)
         for i, x in enumerate(da):
             if x:
                 for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % self.p
-        return self._code(_poly_divmod(prod, self.irreducible, self.p)[1])
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        return from_digits(_poly_divmod(prod, self.irreducible, p)[1], p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -233,7 +239,7 @@ class FiniteField:
             return exp[len(log) - 1 - log[a]]
         # Extended Euclid on (f, a): s_i * a = r_i (mod f) throughout.  The
         # last nonzero remainder is a constant because f is irreducible.
-        r0, r1 = self.irreducible, _trim(self._digits(a))
+        r0, r1 = self.irreducible, _trim(to_digits(a, p, self.e))
         s0, s1 = [], [1]
         while len(r1) > 1:
             quot, rem = _poly_divmod(r0, r1, p)
@@ -244,7 +250,7 @@ class FiniteField:
                     s[i + j] = (s[i + j] - x * y) % p
             r0, r1, s0, s1 = r1, rem, s1, s
         c = pow(r1[0], -1, p)
-        return self._code([c * x % p for x in s1])
+        return from_digits([c * x % p for x in s1], p)
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -322,8 +328,9 @@ def make_field(p: int, e: int = 1) -> FiniteField:
     if F.q <= _TABLE_MAX_Q:
         exp, log = _log_exp_tables(F)
         if p > 2:
-            # F has no Zech table yet, so `add` here is the digitwise sum.
-            zech = tuple(log[s] if (s := F.add(1, x)) else None for x in exp[:F.q - 1])
+            # 1 + x differs from x only in digit 0.
+            zech = tuple(log[s] if (s := x - x % p + (x + 1) % p) else None
+                         for x in exp[:F.q - 1])
             object.__setattr__(F, "_zech", zech)
         object.__setattr__(F, "_log_exp", (exp, log))
     return F

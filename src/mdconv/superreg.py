@@ -1,16 +1,7 @@
-"""Constant-matrix linear algebra over GF(q).
-
-Superregularity testing by exhaustive minor enumeration, Cauchy-matrix
-generation, and a seeded stream of random candidate matrices.  The minor
-scan tests 1x1 and 2x2 minors by their definitions and eliminates from size
-3 on, with the one Gaussian elimination routine, the `echelon` that
-`_eliminator(F)` returns, which also serves the determinant and nullspace.
-Its contract: it brings a list-of-lists matrix to row echelon form in place,
-by determinant-preserving row operations only, and returns the pivot column
-of each pivot row, so the rank is the pivot count and a square matrix's
-determinant is the product of the diagonal.  Its field operations are bound
-once per caller, and a pivot's negated inverse is computed once, only when
-a row lies below the pivot row.
+"""Constant-matrix linear algebra over GF(q): one elimination routine
+(`_eliminator`) behind the determinant, the nullspace and the minor scan;
+superregularity testing; Cauchy matrices; and a seeded stream of random
+candidate matrices.
 """
 
 from __future__ import annotations
@@ -23,6 +14,9 @@ from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .galois import FiniteField, GaloisError, json_get, json_int, json_list
+
+#: Draws a seeded random search makes before it gives up, by default.
+MAX_TRIES = 10_000
 
 
 class SearchExhaustedError(RuntimeError):
@@ -81,19 +75,22 @@ class SuperregularityReport:
 
 
 def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
-    """The elimination over F, with F's operations bound once per caller.
+    """The one Gaussian elimination over F, with F's operations bound once
+    per caller.
 
-    The returned `echelon(M)` brings M to row echelon form in place and
-    returns the pivot column of each pivot row.  Only row operations that keep the
-    determinant are used: adding a multiple of the pivot row to a row below
-    it, and swapping two rows while negating one.  The pivot of column c is
-    the first row at or below the next pivot row with a nonzero entry there;
-    a column without one is skipped.  A pivot's inverse is negated once, and
-    computed only when a row lies below the pivot row (the last pivot of a
-    square matrix eliminates nothing).  The loops run by index, so a call
-    allocates nothing but the pivot list.  F's operations are bound when this
-    is called, never cached across calls, so a method replaced on
-    `FiniteField` after set-up is the one used.
+    The returned `echelon(M)` brings a list-of-lists matrix M to row echelon
+    form in place and returns the pivot column of each pivot row, so the rank
+    is the pivot count and a square matrix's determinant is the product of
+    the diagonal.  Only row operations that keep the determinant are used:
+    adding a multiple of the pivot row to a row below it, and swapping two
+    rows while negating one.  The pivot of column c is the first row at or
+    below the next pivot row with a nonzero entry there; a column without one
+    is skipped.  A pivot's inverse is negated once, and computed only when a
+    row lies below the pivot row (the last pivot of a square matrix
+    eliminates nothing).  The loops run by index, so a call allocates nothing
+    but the pivot list.  F's operations are bound when this is called, never
+    cached across calls, so a method replaced on `FiniteField` after set-up
+    is the one used.
     """
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
 
@@ -194,7 +191,7 @@ def cauchy_matrix(F: FiniteField, xs: Sequence[int], ys: Sequence[int]) -> Const
 
 
 def random_matrices(
-    F: FiniteField, r: int, s: int, seed: int = 0, max_tries: int = 10_000
+    F: FiniteField, r: int, s: int, seed: int = 0, max_tries: int = MAX_TRIES
 ) -> Iterator[ConstMatrix]:
     """Seeded stream of r x s matrices with uniformly random nonzero entries.
 
@@ -223,7 +220,7 @@ def random_matrices(
 
 
 def random_superregular(
-    F: FiniteField, r: int, s: int, seed: int = 0, max_tries: int = 10_000
+    F: FiniteField, r: int, s: int, seed: int = 0, max_tries: int = MAX_TRIES
 ) -> ConstMatrix:
     """The first matrix of `random_matrices` that passes `is_superregular`."""
     return next(A for A in random_matrices(F, r, s, seed, max_tries) if is_superregular(A).verdict)

@@ -3,10 +3,12 @@
 `cli_golden.json` is the list of CLI cases: each holds an argv and the
 exit code, stdout, stderr and `-o` file text the CLI gave for it when the
 file was recorded.  It opens with every subcommand of `BOUND` and
-`OBJECT_COMMANDS` without, then with, `--pretty`; the exits 2 and 3 and the
-extension-field cases follow.  Both runners return `(exit code, stdout, stderr)`: `in_process`
-calls `cli.main` with the streams redirected, and `run_subprocess` starts a
-command, `python -m mdconv.cli` by default, in a fresh interpreter.
+`OBJECT_COMMANDS` without, then with, `--pretty`; the exits 2 and 3, the
+extension-field cases, exit-2 refusals of malformed inputs and parameters,
+and a witness whose least-degree block has two rows follow.  Both runners
+return `(exit code, stdout, stderr)`: `in_process` calls `cli.main` with
+the streams redirected, and `run_subprocess` starts a command,
+`python -m mdconv.cli` by default, in a fresh interpreter.
 `tests/test_cli.py` checks every case in process.  To replay them through
 another command, such as the installed console script, run
 
@@ -39,6 +41,19 @@ CLI_INPUTS = {
     "s17r.json": {"field": {"e": 1, "p": 17}, "generator": [
         [[[[0], 16]], [[[0], 8]], [[[0], 11]]],
         [[[[0], 11], [[1], 8]], [[[0], 4], [[1], 11]], [[[0], 10], [[1], 4]]]],
+        "k": 2, "m": 1, "n": 3},
+    # Inputs each of which the CLI refuses with exit 2.
+    "empty.json": {"field": {"p": 3, "e": 1}, "entries": []},
+    "ragged.json": {"field": {"p": 3, "e": 1}, "entries": [[1, 1], [1]]},
+    # x^2 + 2x + 2 is irreducible over GF(3), but the canonical GF(9) modulus is x^2 + 1.
+    "gf9.json": {"field": {"p": 3, "e": 2, "irreducible": [2, 2, 1]}, "entries": [[1]]},
+    "m0.json": {"field": {"p": 7, "e": 1}, "generator": [[[[[], 1]], [[[], 2]]]],
+                "k": 1, "m": 0, "n": 2},
+    "ragged_code.json": {"field": {"p": 7, "e": 1}, "generator": [
+        [[[[0], 1]], [[[0], 2]]], [[[[0], 1]]]], "k": 2, "m": 1, "n": 2},
+    # Two rows of least degree: the witness takes a nullspace vector.
+    "w7.json": {"field": {"p": 7, "e": 1}, "generator": [
+        [[[[0], 1]], [[[0], 1]], [[[0], 1]]], [[[[0], 1]], [[[0], 2]], [[[0], 3]]]],
         "k": 2, "m": 1, "n": 3},
 }
 

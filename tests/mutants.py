@@ -58,6 +58,16 @@ MUTANTS = [
     ("Zech entry off by one", "galois.py",
      "z = self._zech[log[b] - la]", "z = self._zech[log[b] - la - 1]",
      ("tests/test_galois.py", "zech")),
+    ("Zech table's 1 + x increments digit 1", "galois.py",
+     "x - x % p + (x + 1) % p", "x - x // p % p * p + (x // p + 1) % p * p",
+     ("tests/test_galois.py", "zech")),
+    ("element code read from its digits in descending order", "galois.py",
+     "    for d in reversed(digits):\n", "    for d in digits:\n",
+     ("tests/test_galois.py", "untabled_add")),
+    ("multiplication block transposed", "distance.py",
+     "return [to_digits(F.mul(g, p**i), p, e) for i in range(e)]",
+     "return [list(c) for c in zip(*[to_digits(F.mul(g, p**i), p, e) for i in range(e)])]",
+     (DIST, "extension_field_kernel")),
     ("Singleton bound of degree - 1", "codes.py",
      "singleton_bound(m, k, n, sum(degrees))", "singleton_bound(m, k, n, sum(degrees) - 1)",
      ("tests/test_codes.py", "golden")),

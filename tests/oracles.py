@@ -4,14 +4,15 @@ The determinant is the Leibniz sum over permutations, so it shares no code
 with `multipoly._det_cofactor` (cofactor expansion) or `superreg._eliminator`
 (elimination); the minors, internal degree, unimodularity and the rank of
 a constant matrix rest on it, and so does `scan_report`, the minor scan's
-report recomputed minor by minor.
+report recomputed minor by minor.  `vec_mat` and `random_poly` are the
+tests' shared ways to multiply out a row vector and to draw a polynomial.
 """
 
 from functools import reduce
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
-from mdconv.multipoly import Polynomial, PolyMatrix
+from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
 from mdconv.superreg import ConstMatrix, SuperregularityReport
 
 
@@ -56,6 +57,19 @@ def internal_degree(G: PolyMatrix):
 def is_unimodular(U: PolyMatrix) -> bool:
     """True iff square with determinant a nonzero field constant."""
     return leibniz_det(U).total_degree() == 0
+
+
+def random_poly(rng, field, m: int, degree: int) -> Polynomial:
+    """A uniformly random coefficient, zero included, at each monomial of
+    total degree <= `degree`."""
+    return Polynomial(field, m, {a: rng.randrange(field.q) for a in monomials_upto(degree, m)})
+
+
+def vec_mat(u: Sequence[int], A: ConstMatrix) -> tuple[int, ...]:
+    """u A over A's field, term by term."""
+    F = A.field
+    return tuple(reduce(F.add, (F.mul(x, a) for x, a in zip(u, col)), 0)
+                 for col in zip(*A.entries))
 
 
 def submatrix(A: ConstMatrix, rows: Sequence[int], cols: Sequence[int]) -> ConstMatrix:

@@ -5,7 +5,6 @@ lines on standard output.
 """
 
 import random
-from functools import reduce
 from itertools import product
 
 from mdconv.galois import make_field
@@ -32,7 +31,7 @@ from mdconv.codes import (
 from mdconv.distance import codeword_weight_profile, free_distance_estimate
 from mdconv.multipoly import monomials_upto
 from cli_cases import hash_seed_env, run_subprocess
-from oracles import full_size_minors, internal_degree, submatrix
+from oracles import full_size_minors, internal_degree, submatrix, vec_mat
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -128,12 +127,6 @@ def _superregular_samples(F, r, s, count=5):
         except SearchExhaustedError:
             break
     return samples
-
-
-def vec_mat(u, A):
-    """u A over A's field, term by term."""
-    F = A.field
-    return tuple(reduce(F.add, (F.mul(x, a) for x, a in zip(u, col)), 0) for col in zip(*A.entries))
 
 
 def test_criterion_6_lemma_suites():

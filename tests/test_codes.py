@@ -41,7 +41,7 @@ from mdconv.codes import (
     support_count,
     support_count_identity_check,
 )
-from oracles import internal_degree
+from oracles import internal_degree, random_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -700,11 +700,6 @@ def test_witness_rejects_rank_deficient():
         singleton_witness(CodeDescriptor.from_generator(G))
 
 
-def _random_poly(rng, field, m, degree):
-    exps = monomials_upto(degree, m)
-    return Polynomial(field, m, {a: rng.randrange(field.q) for a in exps})
-
-
 def test_witness_weight_never_exceeds_bound():
     rng = random.Random(47)
     fields = [make_field(2), make_field(3), make_field(2, 2), make_field(5), make_field(7)]
@@ -717,7 +712,7 @@ def test_witness_weight_never_exceeds_bound():
         if n < k:
             continue
         G = PolyMatrix(field, m, [
-            [_random_poly(rng, field, m, rng.randrange(0, 3)) for _ in range(n)]
+            [random_poly(rng, field, m, rng.randrange(0, 3)) for _ in range(n)]
             for _ in range(k)
         ])
         if any(all(p.is_zero() for p in row) for row in G.entries):

@@ -16,7 +16,7 @@ from mdconv.multipoly import (
 )
 from mdconv.codes import support_count
 from mdconv.superreg import ConstMatrix, det
-from oracles import full_size_minors, identity, internal_degree, is_unimodular
+from oracles import full_size_minors, identity, internal_degree, is_unimodular, random_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -164,17 +164,12 @@ def test_ring_axioms_exhaustive_gf2_degree_one():
             assert f * g == g * f
 
 
-def _random_poly(rng, field, m, degree):
-    exps = monomials_upto(degree, m)
-    return Polynomial(field, m, {a: rng.randrange(field.q) for a in exps})
-
-
 def test_ring_axioms_sampled_degree_two():
     rng = random.Random(7)
     for _ in range(400):
         field = rng.choice([F2, F3, F5])
         m = rng.choice([1, 2])
-        f, g, h = (_random_poly(rng, field, m, 2) for _ in range(3))
+        f, g, h = (random_poly(rng, field, m, 2) for _ in range(3))
         assert (f * g) * h == f * (g * h)
         assert f * (g + h) == f * g + f * h
 
@@ -184,7 +179,7 @@ def test_weight_invariance_under_scaling_and_shift():
     for _ in range(100):
         field = rng.choice([F3, F5, F7])
         m = rng.choice([1, 2])
-        v = PolyMatrix(field, m, [[_random_poly(rng, field, m, 2) for _ in range(3)]])
+        v = PolyMatrix(field, m, [[random_poly(rng, field, m, 2) for _ in range(3)]])
         c = Polynomial.constant(field, m, rng.randrange(1, field.q))
         scaled = PolyMatrix(field, m, [[p * c for p in v.entries[0]]])
         assert scaled.weight() == v.weight()
@@ -199,8 +194,8 @@ def test_weight_subadditive():
     for _ in range(100):
         field = rng.choice([F2, F5])
         m = 2
-        u = PolyMatrix(field, m, [[_random_poly(rng, field, m, 2) for _ in range(3)]])
-        v = PolyMatrix(field, m, [[_random_poly(rng, field, m, 2) for _ in range(3)]])
+        u = PolyMatrix(field, m, [[random_poly(rng, field, m, 2) for _ in range(3)]])
+        v = PolyMatrix(field, m, [[random_poly(rng, field, m, 2) for _ in range(3)]])
         s = PolyMatrix(field, m, [[a + b for a, b in zip(u.entries[0], v.entries[0])]])
         assert s.weight() <= u.weight() + v.weight()
 
@@ -208,7 +203,7 @@ def test_weight_subadditive():
 def _random_full_rank_matrix(rng, field, m, k, n, degree):
     while True:
         G = PolyMatrix(field, m, [
-            [_random_poly(rng, field, m, degree) for _ in range(n)] for _ in range(k)
+            [random_poly(rng, field, m, degree) for _ in range(n)] for _ in range(k)
         ])
         if G.has_full_row_rank() and all(
             any(not p.is_zero() for p in row) for row in G.entries
@@ -235,7 +230,7 @@ def _random_unimodular(rng, field, m, k):
         i, j = rng.randrange(k), rng.randrange(k)
         if i == j:
             continue
-        f = _random_poly(rng, field, m, 1)
+        f = random_poly(rng, field, m, 1)
         rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
     return PolyMatrix(field, m, rows)
 

@@ -19,7 +19,7 @@ from mdconv.superreg import (
     random_matrices,
     random_superregular,
 )
-from oracles import const_det, leibniz_det, rank, scan_report, submatrix, transpose
+from oracles import const_det, leibniz_det, rank, scan_report, submatrix, transpose, vec_mat
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -35,11 +35,6 @@ def mat_vec(A, v):
     """A v over A's field, term by term."""
     F = A.field
     return tuple(reduce(F.add, (F.mul(a, x) for a, x in zip(row, v)), 0) for row in A.entries)
-
-
-def vec_mat(u, A):
-    """u A over A's field, term by term."""
-    return mat_vec(transpose(A), u)
 
 
 def combination(F, rows, coeffs):
