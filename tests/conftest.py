@@ -4,8 +4,8 @@ pyproject.toml covers only this process.
 Tests drive the CLI in process through `cli_cases.in_process`.  These start
 `python -m mdconv.cli` (`cli_cases.run_subprocess`) or `python -c` instead,
 because a fresh interpreter or a kill timeout is what they test:
-- `test_cli.py::test_byte_identical_reruns` and `test_acceptance.py`
-  criterion 8: reruns under PYTHONHASHSEED 0 and 1;
+- `test_acceptance.py` criterion 8: one `construct -o` and one `distance`
+  under each of PYTHONHASHSEED 0 and 1, stdout and the written file compared;
 - `test_cli.py::test_python_m_entry_point_exits_with_mains_code`: the
   `__main__` line passes `main`'s return value to the exit status;
 - `test_cli.py::test_construct_huge_prime_exit_2_fast` and

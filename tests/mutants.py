@@ -128,20 +128,29 @@ MUTANTS = [
      (CLI, "golden")),
     ("--pretty ignored", "cli.py",
      "if args.pretty:", "if False:",
-     (CLI, "golden or pretty_flag")),
+     (CLI, "golden")),
     ("construct -o prints the code too", "cli.py",
      "    return cert.to_json(), True\n",
      "    return {\"code\": code.to_json(), \"certificate\": cert.to_json()}, True\n",
      (CLI, "golden")),
     ("only the whole --message flag bound", "cli.py",
      '"--message".startswith(arg)', 'arg == "--message"',
-     (CLI, "negative_number")),
+     (CLI, "golden")),
     ("infeasible construction exits 2", "cli.py",
      "return EXIT_INFEASIBLE", "return EXIT_USAGE",
      (CLI, "golden")),
     ("__main__ drops the exit code", "cli.py",
      "sys.exit(main())", "main()",
      (CLI, "entry_point")),
+    ("Ball's bound refuses r + s = q + 1", "codes.py",
+     "rows + n > F.q + 1", "rows + n >= F.q + 1",
+     (CLI, "golden")),
+    ("a budget of zero tries accepted", "superreg.py",
+     "if max_tries < 1:", "if max_tries < 0:",
+     (CLI, "golden")),
+    ("shortest admissible length refused", "codes.py",
+     "if n < (need :=", "if n <= (need :=",
+     (CLI, "golden")),
 ]
 
 

@@ -213,12 +213,19 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
         assert phi_lift(flat.matrix, code.m, plan) == code.generator
         assert phi_flatten(phi_lift(flat.matrix, code.m, plan)).matrix == flat.matrix
 
-    # Byte-identical CLI reruns in fresh interpreters under two hash seeds.
-    out = tmp_path / "code.json"
-    for argv in (["construct", "--p", "7", "--m", "2", "--n", "3", "--delta", "1", "-o", str(out)],
-                 ["distance", "-i", str(out), "--cap", "2"]):
-        a, b = (run_subprocess(argv, env=hash_seed_env(seed)) for seed in (0, 1))
-        assert a == b and a[0] == 0, argv
+    # Byte-identical CLI reruns in fresh interpreters under two hash seeds:
+    # output that depended on string-hash order would differ on every run,
+    # not only by chance.  Each seed writes its own code file and reads it.
+    runs = []
+    for seed in (0, 1):
+        out, env = tmp_path / f"code{seed}.json", hash_seed_env(seed)
+        construct = run_subprocess(["construct", "--p", "7", "--m", "2", "--n", "3", "--delta",
+                                    "1", "--source", "random", "--seed", "9", "-o", str(out)],
+                                   env=env)
+        distance = run_subprocess(["distance", "-i", str(out), "--cap", "2"], env=env)
+        runs.append((construct, out.read_bytes(), distance))
+    assert runs[0] == runs[1]
+    assert runs[0][0][0] == runs[0][2][0] == 0
 
     # Worker-count independence on the criteria 3-5 instances.
     gens = [

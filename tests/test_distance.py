@@ -455,13 +455,6 @@ def test_workers_below_one_raise():
             free_distance_estimate(code.generator, 1, workers=workers)
 
 
-def test_worker_count_does_not_change_report():
-    code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
-    a = free_distance_estimate(code.generator, 2, workers=1)
-    b = free_distance_estimate(code.generator, 2, workers=4)
-    assert a == b
-
-
 def test_every_scan_runs_on_the_calling_thread(monkeypatch):
     code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
     threads = []
