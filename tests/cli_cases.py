@@ -6,18 +6,20 @@ was recorded.  The cases open with `PLAIN` (a `bound` and every subcommand
 that prints an object) without, then with, `--pretty`.  The exits 2 and 3,
 the extension-field cases, exit-2 refusals of malformed inputs and
 parameters, and a witness whose least-degree block has two rows follow.
-After them come refused parameters, Ball's bound, the search budget and its
-give-up, pipelines that read back what `construct -o` wrote, codes that fail
-a hypothesis, malformed JSON documents, and every abbreviation of
-`--message` with a negative number.  Argparse's own usage errors are not
-cases: their text differs across Python versions, and they leave `main` as a
-`SystemExit`.
+After them come, group by group, the cases of `BEHAVIOURS` not already
+listed: refused parameters, Ball's bound, the search budget and its give-up,
+pipelines that read back what `construct -o` wrote, codes that fail a
+hypothesis, malformed JSON documents, every abbreviation of `--message` with
+a negative number, and README's `bound` line.  Argparse's own usage errors
+are not cases: their text differs across Python versions, and they leave
+`main` as a `SystemExit`.
 
 Both runners return `(exit code, stdout, stderr)`: `in_process` calls
 `cli.main` with the streams redirected, and `run_subprocess` starts a
 command, `python -m mdconv.cli` by default, in a fresh interpreter.
-`tests/test_cli.py` checks every case in process.  To replay them through
-another command, such as the installed console script, run
+`tests/test_cli.py` checks every case in process, a behaviour's cases in a
+test named after it.  To replay them through another command, such as the
+installed console script, run
 
     python tests/cli_cases.py /path/to/venv/bin/mdconv
 
@@ -147,59 +149,91 @@ CASES = [*PLAIN, *(["--pretty", *argv] for argv in PLAIN), *(shlex.split(line) f
     "certify -i m0.json",
     "certify -i ragged_code.json",
     "witness -i w7.json",
-    # Parameters the CLI refuses, and the searches it refuses or gives up.
-    "bound --m 1 --k 3 --n 2 --delta 0",
-    "construct --p 7 --m 1 --n 2 --delta 2",
-    "distance -i c7.json --cap 1 --workers -2",
-    # max_tries is checked first, before the 3x7 shape meets Ball's bound.
-    "construct --p 7 --m 1 --n 2 --delta 1 --source random --max-tries -3",
-    "construct --p 7 --m 1 --n 2 --delta 1 --source random --max-tries 0",
-    "construct-staircase --p 7 --m 1 --k 2 --n 3 --nu 0 --source random --max-tries -3",
-    "construct --p 7 --m 2 --n 7 --delta 1 --source random --max-tries -3",
-    # 9x5 over GF(7): r + s > q + 1, refused before the first draw.
-    "construct-staircase --p 7 --m 2 --k 2 --n 5 --nu 1 --source random",
-    # 3x9 over GF(11) meets r + s = q + 1, but seed 0's first draw fails.
-    "construct --p 11 --m 2 --n 9 --delta 1 --source random --seed 0 --max-tries 1",
-    # One variable per stack level once overflowed the stack from m = 500 on.
-    "construct --p 7 --m 600 --n 3 --delta 0",
-    # Pipelines: construct, then read the code back.
-    "construct --p 7 --m 2 --n 3 --delta 1 --source cauchy -o c7m2.json",
-    "certify -i c7m2.json",
-    "construct-staircase --p 17 --m 2 --k 2 --n 5 --nu 1 -o s17m2.json",
-    "flatten -i s17m2.json",
-    "construct --p 5 --m 1 --n 2 --delta 1 --source random --seed 3 -o r5.json",
-    "encode -i r5.json --message '[[[[0], 1]]]'",
-    "witness -i r5.json",
-    "distance -i r5.json --cap 3 --stop-below 4",
-    "distance -i r5.json --cap 3 --stop-below 5",
-    # Codes and matrices that fail a hypothesis.
-    "check-sr -i zero_entry.json",
-    "certify -i zero_row.json",
-    "flatten -i zero_row.json",
-    "distance -i zero_row.json",
-    "witness -i zero_row.json",
-    "certify -i k_above_n.json",
-    "certify -i c11.json",
-    "distance -i int64.json --cap 0",
-    # Malformed documents and messages: one `error:` line, exit 2.
-    "check-sr -i float_entries.json",
-    "certify -i float_coeff.json",
-    "certify -i string_m.json",
-    "encode -i c7.json --message '[[[[0], 1.5]]]'",
-    "check-sr -i scalar_entries.json",
-    "certify -i list.json",
-    "encode -i c7.json --message 5",
-    "certify -i no_generator.json",
-    "certify -i long_term.json",
-    "certify -i short_term.json",
-    "certify -i object_poly.json",
-    "certify -i scalar_field.json",
-    "encode -i c7.json --message '[[[[0], 1], [[0], 2]]]'",
-    # Each abbreviation of --message takes a negative number as its value.
-    "encode -i c7.json --messag -2.2250738585072014e-308",
-    "encode -i c7.json --mess -1",
-    "encode -i c7.json --m -1e5",
 ])]
+
+# The behaviours that a named test of `tests/test_cli.py` checks, each as the
+# argvs of its cases: `test_<name>` runs them, and the golden test runs every
+# case that no behaviour names.  The cases of a behaviour that are not among
+# the cases above follow them in `CASES`, in this order.
+BEHAVIOURS = {name: [shlex.split(line) for line in group] for name, group in {
+    "check_sr_pass_exit_0": ["check-sr -i pass.json"],
+    "selftest": ["selftest"],
+    "missing_input_exit_2": ["certify -i missing.json"],
+    "construct_field_too_small_exit_3": [
+        "construct --p 2 --m 2 --n 3 --delta 1 --source cauchy"],
+    "bound_rejects_bad_dimensions": ["bound --m 1 --k 3 --n 2 --delta 0"],
+    "construct_length_precondition_exit_2": ["construct --p 7 --m 1 --n 2 --delta 2"],
+    "distance_workers_below_one_exit_2": [
+        "distance -i c7.json --cap 1 --workers 0",
+        "distance -i c7.json --cap 1 --workers -2"],
+    "construct_max_tries_below_one_exit_2": [
+        # max_tries is checked first, before the 3x7 shape meets Ball's bound.
+        "construct --p 7 --m 1 --n 2 --delta 1 --source random --max-tries -3",
+        "construct --p 7 --m 1 --n 2 --delta 1 --source random --max-tries 0",
+        "construct-staircase --p 7 --m 1 --k 2 --n 3 --nu 0 --source random --max-tries -3",
+        "construct --p 7 --m 2 --n 7 --delta 1 --source random --max-tries -3"],
+    "random_source_beyond_ball_bound_exit_3": [
+        "construct --p 5 --m 2 --n 4 --delta 1 --source random",
+        # 9x5 over GF(7): r + s > q + 1, refused before the first draw.
+        "construct-staircase --p 7 --m 2 --k 2 --n 5 --nu 1 --source random"],
+    "random_search_giving_up_exit_3_says_it_proves_nothing": [
+        # 3x9 over GF(11) meets r + s = q + 1, but seed 0's first draw fails.
+        "construct --p 11 --m 2 --n 9 --delta 1 --source random --seed 0 --max-tries 1"],
+    # One variable per stack level once overflowed the stack from m = 500 on.
+    "construct_many_variables": ["construct --p 7 --m 600 --n 3 --delta 0"],
+    # Pipelines: construct, then read the code back.
+    "construct_certify_pipeline": [
+        "construct --p 7 --m 2 --n 3 --delta 1 --source cauchy -o c7m2.json",
+        "certify -i c7m2.json"],
+    "construct_staircase_and_flatten": [
+        "construct-staircase --p 17 --m 2 --k 2 --n 5 --nu 1 -o s17m2.json",
+        "flatten -i s17m2.json"],
+    "encode_and_witness": [
+        "construct --p 5 --m 1 --n 2 --delta 1 --source random --seed 3 -o r5.json",
+        "encode -i r5.json --message '[[[[0], 1]]]'",
+        "witness -i r5.json"],
+    "distance_exit_codes": [
+        "distance -i r5.json --cap 3 --stop-below 4",
+        "distance -i r5.json --cap 3 --stop-below 5"],
+    # Codes and matrices that fail a hypothesis.
+    "check_sr_zero_entry_exit_1": ["check-sr -i zero_entry.json"],
+    # The golden tests turn warnings into errors, so none of these may warn.
+    "zero_row_code_writes_no_warning": [
+        "certify -i zero_row.json",
+        "flatten -i zero_row.json",
+        "distance -i zero_row.json",
+        "witness -i zero_row.json"],
+    "certify_k_above_n_not_certified_exit_1": ["certify -i k_above_n.json"],
+    "certify_distance_below_singleton_bound_exit_1": ["certify -i c11.json"],
+    "distance_int64_overflow_exit_2": ["distance -i int64.json --cap 0"],
+    # Malformed documents and messages: one `error:` line, exit 2.
+    "json_non_integers_exit_2": [
+        "check-sr -i float_entries.json",
+        "certify -i float_coeff.json",
+        "certify -i string_m.json",
+        "encode -i c7.json --message '[[[[0], 1.5]]]'"],
+    "json_wrong_shape_exit_2": [
+        "check-sr -i scalar_entries.json",
+        "certify -i list.json",
+        "encode -i c7.json --message 5"],
+    "json_shape_errors_name_the_input": [
+        "certify -i no_generator.json",
+        "certify -i long_term.json",
+        "certify -i short_term.json",
+        "certify -i object_poly.json",
+        "certify -i scalar_field.json"],
+    "repeated_exponent_vector_exits_2": [
+        "encode -i c7.json --message '[[[[0], 1], [[0], 2]]]'"],
+    # Each abbreviation of --message takes a negative number as its value.
+    "negative_number_message_reaches_the_json_reader": [
+        "encode -i c7.json --message -1e5",
+        "encode -i c7.json --messag -2.2250738585072014e-308",
+        "encode -i c7.json --mess -1",
+        "encode -i c7.json --m -1e5"],
+    # The line README shows, which prints 9.
+    "bound_prints_value": ["bound --m 2 --k 1 --n 3 --delta 1"],
+}.items()}
+CASES += [argv for group in BEHAVIOURS.values() for argv in group if argv not in CASES]
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "cli_golden.json"

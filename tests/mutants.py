@@ -135,19 +135,19 @@ MUTANTS = [
      (CLI, "golden")),
     ("only the whole --message flag bound", "cli.py",
      '"--message".startswith(arg)', 'arg == "--message"',
-     (CLI, "golden")),
+     (CLI, "negative_number")),
     ("infeasible construction exits 2", "cli.py",
      "return EXIT_INFEASIBLE", "return EXIT_USAGE",
-     (CLI, "golden")),
+     (CLI, "field_too_small or ball_bound or giving_up")),
     ("__main__ drops the exit code", "cli.py",
      "sys.exit(main())", "main()",
      (CLI, "entry_point")),
     ("Ball's bound refuses r + s = q + 1", "codes.py",
      "rows + n > F.q + 1", "rows + n >= F.q + 1",
-     (CLI, "golden")),
+     (CLI, "giving_up")),
     ("a budget of zero tries accepted", "superreg.py",
      "if max_tries < 1:", "if max_tries < 0:",
-     (CLI, "golden")),
+     (CLI, "max_tries")),
     ("shortest admissible length refused", "codes.py",
      "if n < (need :=", "if n <= (need :=",
      (CLI, "golden")),

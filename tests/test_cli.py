@@ -1,6 +1,7 @@
 """CLI tests.  The outcome of a command with fixed input is a case of
-`cli_golden.json` (see `cli_cases.py`); the tests here need something a case
-cannot give: a fresh interpreter, a kill timeout, README text or Hypothesis."""
+`cli_golden.json` (see `cli_cases.py`), checked by the golden tests at the
+end; the other tests here need something a case cannot give: a fresh
+interpreter, a kill timeout, README text or Hypothesis."""
 
 import functools
 import json
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cli_cases import (
+    BEHAVIOURS,
     CASES,
     PLAIN,
     fresh_directory,
@@ -59,7 +61,9 @@ def test_readme_library_example_and_bound_line_run():
     example = re.search(r"## Library example\n+```python\n(.*?)```", text, re.S).group(1)
     exec(compile(example, "README.md", "exec"), {})
     line = re.search(r"^mdconv (bound .*?)\s+# prints the distance bound: (\d+)$", text, re.M)
-    assert in_process(line.group(1).split()) == (0, line.group(2) + "\n", "")
+    # README's line is a golden case, which `test_bound_prints_value` runs.
+    case = next(case for case in load_golden() if case["argv"] == line.group(1).split())
+    assert (case["exit"], case["stdout"], case["stderr"]) == (0, line.group(2) + "\n", "")
     assert line.group(1) == "bound --m 2 --k 1 --n 3 --delta 1" and line.group(2) == "9"
 
 
@@ -149,6 +153,18 @@ def test_pretty_flag_changes_format_not_content():
         assert (pretty["stdout"].count("\n") > 2) == plain["stdout"].startswith("{")
 
 
+def check_golden(argvs):
+    """Run these golden cases in process, each in a directory that holds
+    `CLI_INPUTS` and every recorded `-o` file, and compare with the record."""
+    golden = {tuple(case["argv"]): case for case in load_golden()}
+    with fresh_directory():
+        for case in golden.values():
+            for name, text in case["files"].items():
+                Path(name).write_text(text, encoding="utf-8")
+        for argv in argvs:
+            assert golden_run(argv) == golden[tuple(argv)]
+
+
 # In process, pytest records warnings instead of letting them reach stderr;
 # "error" makes a warning of any category raise inside `main`.
 @pytest.mark.filterwarnings("error")
@@ -157,10 +173,22 @@ def test_cli_output_matches_golden():
     # commit; re-record them only for an intended change of output.
     expected = load_golden()
     assert [case["argv"] for case in expected] == CASES
-    with fresh_directory():
-        for case in expected:
-            assert golden_run(case["argv"]) == case
+    named = [argv for group in BEHAVIOURS.values() for argv in group]
+    check_golden([argv for argv in CASES if argv not in named])
     # Every --workers count runs the same search.
     d1, d2 = (case["stdout"] for case in expected
               if case["argv"][:3] == ["distance", "-i", "c32.json"])
     assert d1 == d2
+
+
+# One test per named behaviour, so that a failure names what broke and a
+# mutant's selector can pick the cases that kill it.
+def _behaviour_test(name, argvs):
+    def test():
+        check_golden(argvs)
+    test.__name__ = test.__qualname__ = f"test_{name}"
+    return pytest.mark.filterwarnings("error")(test)
+
+
+for _name, _argvs in BEHAVIOURS.items():
+    globals()[f"test_{_name}"] = _behaviour_test(_name, _argvs)
