@@ -54,6 +54,12 @@ CLI_INPUTS = {
     "fail.json": {"field": {"p": 7, "e": 1}, "entries": [[1, 2], [2, 4]]},
     # 1·3 = 2·2 = 3 in GF(4): its 2x2 minor is zero only under field multiplication.
     "sr4.json": {"field": {"p": 2, "e": 2}, "entries": [[1, 2], [2, 3]]},
+    # The first zero minor is the 3x3 on rows (0, 2, 3), cols (1, 3, 4).
+    "sr23.json": {"field": {"p": 23, "e": 1}, "entries": [
+        [5, 17, 4, 9, 1], [15, 13, 21, 8, 18], [13, 1, 18, 8, 14], [6, 22, 6, 11, 22]]},
+    # Row 3 is r0 + 7·r1 + r2 over GF(8), and the first zero minor is the full 4x4.
+    "sr8.json": {"field": {"p": 2, "e": 3}, "entries": [
+        [1, 7, 4, 4], [5, 1, 5, 7], [3, 7, 1, 2], [4, 7, 3, 5]]},
     # `construct-staircase --p 17 --m 1 --k 2 --n 3 --nu 0` with its generator
     # rows reversed: row degrees [0, 1] match no theorem, though the flattening
     # is superregular.
@@ -139,6 +145,8 @@ CASES = [*PLAIN, *(["--pretty", *argv] for argv in PLAIN), *(shlex.split(line) f
     "distance -i c27.json --cap 1",
     "witness -i c27.json",
     "check-sr -i sr4.json",
+    "check-sr -i sr23.json",
+    "check-sr -i sr8.json",
     "certify -i s17r.json",
     "check-sr -i empty.json",
     "check-sr -i ragged.json",
