@@ -1,7 +1,8 @@
 """Constant-matrix linear algebra over GF(q): one elimination routine
-(`_eliminator`) behind the determinant, the nullspace and the minor scan;
-superregularity testing; Cauchy matrices; and a seeded stream of random
-candidate matrices.
+(`_eliminator`) behind the determinant, the nullspace and the minor scan's
+minors of size 4 and up; superregularity testing, whose minors up to 3x3
+need no inverse; Cauchy matrices; and a seeded stream of random candidate
+matrices.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class SuperregularityReport:
 
 def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
     """The one Gaussian elimination over F, with F's operations bound once
-    per caller.
+    per caller: `det`, `nullspace`, and the minor scan from size 4 on.
 
     The returned `echelon(M)` brings a list-of-lists matrix M to row echelon
     form in place and returns the pivot column of each pivot row, so the rank
@@ -141,14 +142,17 @@ def is_superregular(A: ConstMatrix) -> SuperregularityReport:
     """Check that every minor of every size is nonzero.
 
     Enumeration is by ascending minor size, lexicographic subsets, with
-    early exit on the first zero minor.  Levels 1 and 2 are tested by
-    definition: each entry in row-major order is nonzero, then each 2x2
-    minor has a·d != b·c, with no inverse.  From size 3 on, each size's
+    early exit on the first zero minor.  Levels 1 to 3 need no inverse: each
+    entry in row-major order is nonzero; each 2x2 minor has a·d != b·c, and
+    a·d − b·c is stored in a table of row pairs, each holding its column
+    pairs in lex order; each 3x3 minor is expanded along its last row over
+    the stored minors of its first two rows.  From size 4 on, each size's
     column subsets are listed once, each with one getter that copies a row's
-    entries in those columns, and each minor is eliminated.
+    entries in those columns, and each minor is eliminated.  The field's
+    operations are bound at the call.
     """
     E = A.entries
-    mul = A.field.mul
+    add, mul, neg = A.field.add, A.field.mul, A.field.neg
     echelon = _eliminator(A.field)
     for i, row in enumerate(E):
         if 0 in row:
@@ -156,13 +160,28 @@ def is_superregular(A: ConstMatrix) -> SuperregularityReport:
             return SuperregularityReport(False, i * A.cols + j + 1, ((i,), (j,), 0))
     checked = A.rows * A.cols
     cpairs = list(combinations(range(A.cols), 2))
+    D: dict[tuple[int, int], list[int]] = {}
     for r0, r1 in combinations(range(A.rows), 2):
         R0, R1 = E[r0], E[r1]
+        Dr = D[r0, r1] = []
         for c0, c1 in cpairs:
             checked += 1
-            if mul(R0[c0], R1[c1]) == mul(R0[c1], R1[c0]):
+            ad, bc = mul(R0[c0], R1[c1]), mul(R0[c1], R1[c0])
+            if ad == bc:
                 return SuperregularityReport(False, checked, ((r0, r1), (c0, c1), 0))
-    for size in range(3, min(A.rows, A.cols) + 1):
+            Dr.append(add(ad, neg(bc)))
+    # det = e0·D[c1c2] − e1·D[c0c2] + e2·D[c0c1] over the last row e and the
+    # first two rows' minors D; it is zero iff e0·D[c1c2] + e2·D[c0c1] = e1·D[c0c2].
+    rank = {pair: i for i, pair in enumerate(cpairs)}
+    ctriples = [(c0, c1, c2, rank[c1, c2], rank[c0, c2], rank[c0, c1])
+                for c0, c1, c2 in combinations(range(A.cols), 3)]
+    for r0, r1, r2 in combinations(range(A.rows), 3):
+        Dr, R = D[r0, r1], E[r2]
+        for c0, c1, c2, i12, i02, i01 in ctriples:
+            checked += 1
+            if add(mul(R[c0], Dr[i12]), mul(R[c2], Dr[i01])) == mul(R[c1], Dr[i02]):
+                return SuperregularityReport(False, checked, ((r0, r1, r2), (c0, c1, c2), 0))
+    for size in range(4, min(A.rows, A.cols) + 1):
         subsets = [(c, itemgetter(*c)) for c in combinations(range(A.cols), size)]
         for rsub in combinations(range(A.rows), size):
             rows = [E[i] for i in rsub]

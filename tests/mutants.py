@@ -109,13 +109,24 @@ MUTANTS = [
      "(term if j % 2 == 0 else -term)", "(term if j % 2 else -term)",
      ("tests/test_multipoly.py", "minors_match")),
     ("largest minor size not scanned", "superreg.py",
-     "range(3, min(A.rows, A.cols) + 1)", "range(3, min(A.rows, A.cols))",
+     "range(4, min(A.rows, A.cols) + 1)", "range(4, min(A.rows, A.cols))",
      (SR, "superregular or scan_report")),
     ("level-1 failing index transposed", "superreg.py",
      "((i,), (j,), 0)", "((j,), (i,), 0)",
      (SR, "scan_report")),
     ("level-2 cross term wrong", "superreg.py",
      "mul(R0[c1], R1[c0])", "mul(R0[c1], R1[c1])",
+     (SR, "scan_report")),
+    ("level-3 minor read from rows (r0, r2)", "superreg.py",
+     "D[r0, r1], E[r2]", "D[r0, r2], E[r2]",
+     (SR, "scan_report")),
+    # The next two are equivalent over characteristic 2, where -x = x: their
+    # selector needs an odd-p scan, such as the GF(23) 7x7 injected zero.
+    ("level-3 middle cofactor term added", "superreg.py",
+     "== mul(R[c1], Dr[i02])", "== neg(mul(R[c1], Dr[i02]))",
+     (SR, "scan_report")),
+    ("stored 2x2 minor a·d + b·c", "superreg.py",
+     "Dr.append(add(ad, neg(bc)))", "Dr.append(add(ad, bc))",
      (SR, "scan_report")),
     ("last-pivot guard off by one", "superreg.py",
      "row + 1 < nrows", "row + 2 < nrows",

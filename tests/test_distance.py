@@ -440,12 +440,17 @@ def test_low_table_stays_within_batch_elements(monkeypatch):
 
 
 def test_import_does_not_load_numpy():
+    # Nor does a certificate, whose minor scan is certify's whole cost:
+    # numpy's import would add about 12 MB to the process.
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mdconv; print([m in sys.modules for m in ('numpy', 'concurrent.futures')])"],
+         "import sys, mdconv; print([m in sys.modules for m in ('numpy', 'concurrent.futures')]); "
+         "from mdconv import certify, construct_mds_rate_1n, make_field; "
+         "certify(construct_mds_rate_1n(make_field(23), 1, 8, 7)[0]); "
+         "print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.split("\n") == ["[False, False]", "False", ""]
 
 
 def test_workers_below_one_raise():

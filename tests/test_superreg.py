@@ -80,15 +80,26 @@ def test_scan_report_zero_last_entry_of_3x5():
 @pytest.mark.parametrize("F", [F7, F8])
 def test_scan_inverse_counts(F, monkeypatch):
     # Counted through FiniteField.inv, as the benchmark's tracer counts:
-    # 1x1 and 2x2 minors need no inverse, and a 3x3 minor's last pivot,
-    # which has no row below it, needs none either.
+    # minors up to 3x3 need no inverse.
     A2 = cauchy_matrix(F, [0, 1], [2, 3, 4, 5])
     A3 = cauchy_matrix(F, [0, 1, 2], [3, 4, 5])
     calls = []
     inv = FiniteField.inv
     monkeypatch.setattr(FiniteField, "inv", lambda self, a: calls.append(a) or inv(self, a))
     assert is_superregular(A2).verdict and len(calls) == 0
-    assert is_superregular(A3).verdict and len(calls) == 2
+    assert is_superregular(A3).verdict and len(calls) == 0
+
+
+@pytest.mark.parametrize("F", [F8, make_field(11)])
+def test_scan_inverse_counts_from_size_4(F, monkeypatch):
+    # A 4x4 Cauchy matrix needs 8 points, more than GF(7) has.  Its one 4x4
+    # minor is eliminated without a row swap, with one inverse per pivot but
+    # the last, which has no row below it.
+    A4 = cauchy_matrix(F, [0, 1, 2, 3], [4, 5, 6, 7])
+    calls = []
+    inv = FiniteField.inv
+    monkeypatch.setattr(FiniteField, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    assert is_superregular(A4).verdict and len(calls) == 3
 
 
 def test_minor_count_formula():
