@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, help="message total-degree cap (default depends on k)")
     p.add_argument("--stop-below", type=int, help="stop at the first codeword lighter than this")
     p.add_argument("--workers", type=int, default=1,
-                   help="at least 1; every count runs the same single-threaded search")
+                   help="at least 1; every count runs the same search")
     command("selftest", _selftest, "run the lemma and identity property suites")
     return ap
 

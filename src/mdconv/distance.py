@@ -18,17 +18,26 @@ independent of the worker count and batch size.
 Codewords are computed over the prime subfield GF(p), for every field
 GF(p^e), by one int64 matrix product: each message coefficient is
 expanded to its e base-p digits (its power-basis coordinates, see
-`galois`), each generator coefficient g to the e x e GF(p) matrix of
-x -> g*x, and a codeword coefficient is nonzero iff one of its e digits
-is.  Prime fields are the case e = 1.  The product is linear, so for a
-tail counter x = h*q^L + l the codeword digits are a high row (the
-leading 1 and h) plus a low row (l in the last L positions), added in the
-smallest unsigned dtype that holds 2(p - 1).  The q^L low rows, with the
-largest L that keeps them within `_BATCH_ELEMENTS` digits, are tabled
-once per search, and a batch encodes only its distinct h; so the table
-and each batch hold at most `_BATCH_ELEMENTS` digits (or one row),
-whatever q.  numpy is imported on first use, so `import mdconv` does not
-pay for it.
+`galois`) and each generator coefficient g to the e x e GF(p) matrix of
+x -> g*x.  A codeword coefficient's e digits, read in base p, are its
+code in range(q); prime fields are the case e = 1.  The map is linear,
+so for a tail counter x = h*Q + l with Q = q^L, a codeword is a high part
+(the leading 1 and h) plus a low part (l in the last L positions), and a
+coefficient is zero exactly when its low code equals its negated high
+code (negation is digitwise, d -> (p - d) % p).  The Q low parts are
+encoded once per search into a float32 one-hot table B with a row per
+coefficient and low code that occurs, K <= n*T*min(q, Q) rows.  A batch
+of whole high parts encodes each once, as one-hot rows A of its negated
+codes, so A @ B counts the zero coefficients of every message in the
+batch and its weight is n*T minus that count.  A count is an integer of
+at most n*T, and float32 holds every integer up to 2^24 exactly, so the
+sums are exact in any order, on any number of BLAS threads.  Q is the
+largest q^L, L <= dim // 2, whose table (at most n*T*q rows by Q) fits
+in `_BATCH_ELEMENTS`; half the positions balance the table against the
+high parts of the largest stratum.  A field too large for a table of q
+low parts (n*T*q^2 > `_BATCH_ELEMENTS`) gets none, and each of its
+messages is encoded on its own.  numpy is imported on first use, so
+`import mdconv` does not pay for it.
 """
 
 from __future__ import annotations
@@ -39,9 +48,10 @@ from typing import Optional
 from .galois import to_digits
 from .multipoly import Polynomial, PolyMatrix, monomials_upto, term_key
 
-#: Most codeword digits (rows x n*T*e) one batch, or the low-part table,
-#: holds, which bounds the working set whatever the code's length and q.
-_BATCH_ELEMENTS = 1 << 14
+#: Most values the one-hot low table B (K x Q), one batch's one-hot rows
+#: (h x K) and its product (h x Q) hold together, or the table and one
+#: row: this bounds the working set whatever the code's length and q.
+_BATCH_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ def codeword_weight_profile(G: PolyMatrix) -> list[tuple[int, int]]:
 
 
 class _Enumerator:
-    """Shared geometry, encode map and batch order for one search."""
+    """Shared geometry, encode map, low table and batch order for one search."""
 
     def __init__(self, G: PolyMatrix, cap: int, stop_below: Optional[int]):
         import numpy as np
@@ -98,9 +108,10 @@ class _Enumerator:
                         out.add(tuple(a + b for a, b in zip(alpha, beta)))
         self.out_monomials = sorted(out, key=term_key)
         self.T = len(self.out_monomials)
+        self.ncoef = ncoef = self.n * self.T
         out_idx = {g: t for t, g in enumerate(self.out_monomials)}
 
-        p, e = F.p, F.e
+        p, e, q = F.p, F.e, F.q
         # A codeword digit sums dim*e products of two digits below p.
         if self.dim * e * (p - 1) ** 2 >= 1 << 63:
             raise ValueError(
@@ -115,7 +126,7 @@ class _Enumerator:
         # Linear encode map over GF(p): the e message digits of coefficient
         # (j, alpha) -> digit d of codeword coefficient (i, alpha + beta), in
         # column d*n*T + i*T + t (digit-major).
-        M = np.zeros((self.dim * e, e, self.n * self.T), dtype=np.int64)
+        M = np.zeros((self.dim * e, e, ncoef), dtype=np.int64)
         for j, row in enumerate(G.entries):
             for i, poly in enumerate(row):
                 for beta, cf in poly.terms.items():
@@ -128,15 +139,33 @@ class _Enumerator:
         # free[d, v]: flat position d's monomial has exponent 0 in variable
         # v.  A normalized message is nonzero at a free position of each v.
         self.free = np.array(self.monomials * self.k) == 0
-        # Rows per batch, and Q = q^L low parts (the last L < dim positions).
-        self.rows = max(1, _BATCH_ELEMENTS // max(1, self.M.shape[1]))
-        self.Q = max(F.q**L for L in range(self.dim) if F.q**L <= self.rows)
-        self.low, self.low_ok = self.codewords(range(self.Q), None)
+        # Q = q^L low parts (the last L <= dim // 2 positions): the largest
+        # table whose one-hot matrix, at most q codes per coefficient, fits.
+        self.Q = max(q**L for L in range(self.dim // 2 + 1)
+                     if L == 0 or q ** (L + 1) * max(1, ncoef) <= _BATCH_ELEMENTS)
+        low, self.low_ok = self.codewords(range(self.Q), None)
+        # A low code is below width: any of GF(q) once Q >= q, else 0.  Key
+        # c*width + a stands for code a at coefficient c, and col[key] is the
+        # key's row of the one-hot table B, or -1 when no low part has it.
+        self.width = width = min(q, self.Q)
+        self.offsets = width * np.arange(ncoef, dtype=np.int64)
+        key = low + self.offsets
+        seen = np.zeros(ncoef * width, dtype=bool)
+        seen[key] = True
+        self.col = np.cumsum(seen) - 1
+        self.col[~seen] = -1
+        # B[j, l] = 1 iff low part l has the code of row j.
+        self.B = np.zeros((int(seen.sum()), self.Q), dtype=np.float32)
+        self.B[self.col[key], np.arange(self.Q)[:, None]] = 1
+        # High parts per batch: B, a batch's one-hot rows and its product
+        # hold at most _BATCH_ELEMENTS values together (or one row more).
+        self.rows = max(1, (_BATCH_ELEMENTS - self.B.size) // (len(self.B) + self.Q))
 
-    def codewords(self, x, lead: Optional[int]):
-        """Codeword digits of the messages with tail counters x after a 1 at
-        `lead`, and per variable whether each has a nonzero term free of it
-        (an N x m bool array)."""
+    def codewords(self, x, lead: Optional[int], negate: bool = False):
+        """Codeword coefficient codes (an N x n*T array over range(q)) of the
+        messages with tail counters x after a 1 at `lead`, negated when
+        `negate`, and per variable whether each message has a nonzero term
+        free of it (an N x m bool array)."""
         import numpy as np
 
         p, e = self.F.p, self.F.e
@@ -149,8 +178,11 @@ class _Enumerator:
         digits = C[:, :, None] // p ** np.arange(e, dtype=np.int64)
         digits %= p
         W = digits.reshape(len(C), self.dim * e) @ self.M
-        W %= p
-        return W.astype(np.min_scalar_type(2 * (p - 1))), (C != 0) @ self.free
+        # Negation in GF(p^e) is digitwise.
+        W = (-W if negate else W) % p
+        # Columns are digit-major, so axis 1 of the reshape is the digit.
+        codes = p ** np.arange(e, dtype=np.int64) @ W.reshape(len(C), e, -1)
+        return codes, (C != 0) @ self.free
 
     def message(self, p0: int, x: int) -> PolyMatrix:
         q = self.F.q
@@ -164,16 +196,18 @@ class _Enumerator:
         return PolyMatrix(self.F, self.m, [polys])
 
     def batches(self):
-        """Ranges `(p0, start, stop)` of the tail counter in enumeration order.
+        """Ranges `(p0, h0, h1)` of high parts in enumeration order: the
+        messages with tail counters h*Q + l for h0 <= h < h1 and every low
+        part l (only l below the stratum's size when that is below Q).
 
         A stratum past the last free position of some variable holds no
         normalized message, and one up to it holds the all-(q - 1) tail.
         Every variable has a free position: component 0's constant monomial.
         """
         for p0 in range(self.dim - int(self.free[::-1].argmax(axis=0).max())):
-            total = self.F.q ** (self.dim - 1 - p0)
-            for start in range(0, total, self.rows):
-                yield p0, start, min(start + self.rows, total)
+            highs = max(1, self.F.q ** (self.dim - 1 - p0) // self.Q)
+            for h0 in range(0, highs, self.rows):
+                yield p0, h0, min(h0 + self.rows, highs)
 
     def scan(self, batch) -> tuple[Optional[int], Optional[tuple[int, int]], int, bool]:
         """Encode one batch: (min weight or None, witness `(p0, x)`,
@@ -186,29 +220,32 @@ class _Enumerator:
         """
         import numpy as np
 
-        p0, start, stop = batch
-        x = np.arange(start, stop, dtype=np.int64)
-        h, l = np.divmod(x, self.Q)
-        h -= start // self.Q
-        high, high_ok = self.codewords(range(start - start % self.Q, stop, self.Q), p0)
-        keep = (high_ok[h] | self.low_ok[l]).all(axis=1)
-        x, h, l = x[keep], h[keep], l[keep]
-        if not len(x):
+        p0, h0, h1 = batch
+        nl = min(self.Q, self.F.q ** (self.dim - 1 - p0))
+        high, high_ok = self.codewords(range(h0 * self.Q, h1 * self.Q, self.Q), p0, negate=True)
+        # keep[h, l]: message h*Q + l is normalized (row-major is enumeration
+        # order).  Only the count needs it: a message that is not normalized
+        # weighs as much as its normalized shift, which comes first.
+        keep = (high_ok[:, None] | self.low_ok[None, :nl]).all(axis=2)
+        if not keep.any():
             return None, None, 0, False
-        W = np.take(high, h, axis=0)
-        W += np.take(self.low, l, axis=0)
-        # Each digit sum is below 2p, so it is zero mod p iff it is 0 or p.
-        nz = (W != 0) & (W != self.F.p)
-        # Columns are digit-major, so axis 1 of the reshape is the digit.
-        w = np.count_nonzero(nz.reshape(len(nz), self.F.e, -1).any(axis=1), axis=1)
+        # A coefficient is zero iff its low code is its negated high code:
+        # one-hot rows of the negated high codes times B count the zeros.
+        col = np.where(high < self.width, self.col.take(high + self.offsets, mode="clip"), -1)
+        hit = col >= 0
+        A = np.zeros((len(high), len(self.B)), dtype=np.float32)
+        A[hit.nonzero()[0], col[hit]] = 1
+        w = A @ self.B[:, :nl]
+        np.subtract(self.ncoef, w, out=w)
+        x0 = h0 * self.Q
         if self.stop_below is not None:
             hits = np.flatnonzero(w < self.stop_below)
             if len(hits):
                 # Every earlier message weighed at least stop_below.
                 f = int(hits[0])
-                return int(w[f]), (p0, int(x[f])), f + 1, True
-        i = int(np.argmin(w))
-        return int(w[i]), (p0, int(x[i])), len(x), False
+                return int(w.flat[f]), (p0, x0 + f), int(np.count_nonzero(keep.flat[:f + 1])), True
+        i = int(w.argmin())
+        return int(w.flat[i]), (p0, x0 + i), int(np.count_nonzero(keep)), False
 
 
 def free_distance_estimate(
@@ -224,8 +261,9 @@ def free_distance_estimate(
     enumeration order) of weight below it: that codeword is the witness,
     `messages_tried` counts up to it, and the report's `below_bound` flag is
     set.  Otherwise the witness is the first message (in enumeration order)
-    attaining the minimum.  Every `workers` count runs the same
-    single-threaded search in enumeration order, so results are identical.
+    attaining the minimum.  Every `workers` count runs the same search in
+    enumeration order, so results are identical; numpy's BLAS may run the
+    exact products on several threads.
 
     Raises ValueError when `workers` < 1, or when the field is too large
     for exact int64 arithmetic (dim * e * (p - 1)^2 >= 2^63,

@@ -214,16 +214,18 @@ def test_extension_field_kernel_matches_brute_force(p, e, m):
         assert rep.messages_tried == oracle_count
 
 
-def _batch_elements(G, cap, rows):
-    """A `_BATCH_ELEMENTS` value giving `rows` rows per batch for (G, cap)."""
+def _table_elements(G, cap, L):
+    """The least `_BATCH_ELEMENTS` value whose low table holds q^L low parts
+    (1 <= L <= dim // 2): its one-hot matrix has at most q^L columns of
+    n*T*q rows.  One less tables q^(L - 1); a value of 1 tables none and
+    batches one message."""
     enum = _Enumerator(G, cap, None)
-    return rows * enum.n * enum.T * enum.F.e
+    return enum.F.q ** (L + 1) * max(1, enum.ncoef)
 
 
 def test_stop_below_reports_first_message_below_for_any_batch_size(monkeypatch):
     code, _ = construct_mds_rate_1n(F7, 1, 3, 2)
-    for elements in (_batch_elements(code.generator, 3, 1), _batch_elements(code.generator, 3, 7),
-                     distance._BATCH_ELEMENTS):
+    for elements in (1, _table_elements(code.generator, 3, 1), distance._BATCH_ELEMENTS):
         monkeypatch.setattr(distance, "_BATCH_ELEMENTS", elements)
         rep = free_distance_estimate(code.generator, 3, stop_below=100)
         assert rep.below_bound
@@ -290,8 +292,7 @@ def small_codes(draw):
 def test_report_independent_of_workers_and_batch_size(code, stop_below):
     G, cap = code
     reports = []
-    for elements in (_batch_elements(G, cap, 1), _batch_elements(G, cap, 7),
-                     distance._BATCH_ELEMENTS):
+    for elements in (1, _table_elements(G, cap, 1), distance._BATCH_ELEMENTS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(distance, "_BATCH_ELEMENTS", elements)
             reports += [
@@ -361,14 +362,14 @@ def _expected_report(G, cap, stop_below=None):
 @settings(max_examples=60, deadline=None)
 @given(small_codes(), st.sampled_from(["no table", "partial table", "default"]),
        st.one_of(st.none(), st.integers(1, 12)))
-# Batches of q + 1 rows start inside a high part, so a wrong high-part
-# offset changes which messages are counted.
+# A one-position table (Q = 2) and one high part per batch: each stratum
+# spans many batches, so a wrong batch offset changes the witness.
 @example((PolyMatrix(F2, 2, [[Polynomial.constant(F2, 2, 1)]]), 2), "partial table", None)
 def test_split_kernel_matches_brute_force(code, table, stop_below):
     G, cap = code
     q = G.field.q
-    elements = {"no table": _batch_elements(G, cap, max(1, q - 1)),
-                "partial table": _batch_elements(G, cap, q + 1),
+    elements = {"no table": _table_elements(G, cap, 1) - 1,
+                "partial table": _table_elements(G, cap, 1),
                 "default": distance._BATCH_ELEMENTS}[table]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(distance, "_BATCH_ELEMENTS", elements)
@@ -377,12 +378,45 @@ def test_split_kernel_matches_brute_force(code, table, stop_below):
     if table == "no table":
         assert enum.Q == 1
     elif table == "partial table" and enum.dim > 1 and enum.M.shape[1]:
-        # Low parts of one position; batches of q + 1 rows straddle them.
+        # Low parts of one position.
         assert enum.Q == q
     assert rep == _expected_report(G, cap, stop_below)
     assert (rep.witness_message @ G).weight() == rep.min_weight_found
     if not rep.below_bound:
         assert (rep.min_weight_found, rep.messages_tried) == _brute_force_min_weight(G, cap)
+
+
+def test_witness_in_a_later_high_part_of_a_later_batch(monkeypatch):
+    # 4 + z + 2z^2 over GF(5) at cap 3, with a table of Q = 5 low parts and
+    # three high parts per batch: the lightest codeword, of message
+    # 1 + z + 3z^2 (tail counter 40 = 8 * Q), is in high part 8, the last
+    # row of the stratum's third batch, and stop_below=3 stops there too.
+    G = PolyMatrix(F5, 1, [[Polynomial(F5, 1, {(0,): 4, (1,): 1, (2,): 2})]])
+    monkeypatch.setattr(distance, "_BATCH_ELEMENTS", 159)
+    enum = _Enumerator(G, 3, None)
+    assert (enum.Q, enum.rows) == (5, 3)
+    assert [b for b in enum.batches() if enum.scan(b)[0] == 2][0] == (0, 6, 9)
+    witness = PolyMatrix(F5, 1, [[Polynomial(F5, 1, {(0,): 1, (1,): 1, (2,): 3})]])
+    for stop_below, tried in ((None, 125), (3, 41)):
+        rep = free_distance_estimate(G, 3, stop_below)
+        assert rep == _expected_report(G, 3, stop_below)
+        assert (rep.min_weight_found, rep.messages_tried) == (2, tried)
+        assert rep.witness_message == witness
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (2, 2)])
+def test_weight_zero_codeword_matches_every_column(p, e):
+    # Equal rows: the message (1, -1) encodes to zero, so each of its n*T
+    # coefficients matches and the count reaches its top.
+    F = make_field(p, e)
+    row = [Polynomial(F, 1, {(0,): 1, (1,): F.q - 1}), Polynomial(F, 1, {(1,): 1})]
+    G = PolyMatrix(F, 1, [row, row])
+    for stop_below in (None, 1):
+        rep = free_distance_estimate(G, 1, stop_below)
+        assert rep == _expected_report(G, 1, stop_below)
+        assert rep.min_weight_found == 0
+        u = rep.witness_message.entries[0]
+        assert u[1] == -u[0]
 
 
 def _column_sum_generator(F, total):
@@ -400,8 +434,10 @@ def test_digit_dtype_boundary_matches_brute_force(p, dtype, total):
     F = make_field(p)
     G = _column_sum_generator(F, total)
     enum = _Enumerator(G, 0, None)
-    # The second coefficient is the low part, so every codeword is a sum of rows.
-    assert enum.Q == p and str(enum.low.dtype) == dtype
+    # The second coefficient is the low part, so every codeword is a sum of
+    # rows; `dtype` is the least unsigned type of a digit sum below 2p, and
+    # the exact match count must not depend on it.
+    assert enum.Q == p and len(enum.B) <= enum.ncoef * min(F.q, enum.Q)
     for stop_below in (None, 1, 2, 3):
         assert free_distance_estimate(G, 0, stop_below) == _expected_report(G, 0, stop_below)
 
@@ -410,15 +446,17 @@ def test_digit_dtype_above_two_to_the_fifteen(monkeypatch):
     F = make_field(32771)
     # Message (1, 1) sums digits to 2^16, which a uint16 sum would read as 0.
     G = _column_sum_generator(F, 1 << 16)
-    for elements in (distance._BATCH_ELEMENTS, _batch_elements(G, 0, F.q)):
+    for elements in (distance._BATCH_ELEMENTS, _table_elements(G, 0, 1) - 1):
         monkeypatch.setattr(distance, "_BATCH_ELEMENTS", elements)
         enum = _Enumerator(G, 0, None)
-        assert str(enum.low.dtype) == "uint32"
+        assert len(enum.B) <= enum.ncoef * min(F.q, enum.Q)
         rep = free_distance_estimate(G, 0)
         # Every nonzero message up to scaling: (q^2 - 1) / (q - 1).
         assert rep.messages_tried == F.q + 1
         assert (rep.witness_message @ G).weight() == rep.min_weight_found
-    assert enum.Q == F.q
+    # A table of q low parts would need 3q x q one-hot values, so even the
+    # largest value short of that builds none, and no one-hot row is q wide.
+    assert enum.Q == 1 and len(enum.B) == enum.ncoef
 
 
 def test_low_table_stays_within_batch_elements(monkeypatch):
@@ -429,14 +467,19 @@ def test_low_table_stays_within_batch_elements(monkeypatch):
             for elements in (1 << 8, 1 << 11, distance._BATCH_ELEMENTS):
                 monkeypatch.setattr(distance, "_BATCH_ELEMENTS", elements)
                 enum = _Enumerator(G, cap, None)
-                assert enum.low.size <= elements
-                # The largest table that fits: one more position would not.
-                assert enum.Q * F.q * enum.M.shape[1] > elements or enum.Q == F.q ** (enum.dim - 1)
+                assert enum.B.size <= elements
+                # The largest table that fits, up to half the positions:
+                # one more position would not.
+                assert (enum.Q * F.q ** 2 * max(1, enum.ncoef) > elements
+                        or enum.Q == F.q ** (enum.dim // 2))
+                # A batch's one-hot rows and product fit beside the table.
+                assert (enum.B.size + enum.rows * (len(enum.B) + enum.Q) <= elements
+                        or enum.rows == 1)
     monkeypatch.undo()
     F = make_field(2**31 - 1)
     G = PolyMatrix(F, 1, [[Polynomial(F, 1, {(0,): F.q - 1, (1,): F.q - 1})]])
     enum = _Enumerator(G, 1, None)
-    assert enum.Q == 1 and enum.low.shape[0] == 1 and str(enum.low.dtype) == "uint32"
+    assert enum.Q == 1 and enum.B.shape == (enum.ncoef, 1)
 
 
 def test_import_does_not_load_numpy():
