@@ -1,13 +1,14 @@
 """Flattening, the generalized Singleton bound, certificates and MDS
-constructions for multidimensional convolutional codes.  `certify` holds the
-one certification rule, and a construction returns only a code it certifies.
+constructions for multidimensional convolutional codes.  `certify` scans a
+code's flattening for the one certification rule; a construction scans each
+candidate source, lifts the first that passes and reuses its scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .galois import FiniteField, json_get, json_int
 from .multipoly import (
@@ -195,8 +196,7 @@ def phi_lift(
 # Certification
 # ---------------------------------------------------------------------------
 
-def _superregularity_hypothesis(G: PolyMatrix) -> Hypothesis:
-    report = is_superregular(phi_flatten(G).matrix)
+def _superregularity_hypothesis(report: superreg.SuperregularityReport) -> Hypothesis:
     if report.verdict:
         detail = f"all {report.minors_checked} minors nonzero"
     else:
@@ -211,17 +211,23 @@ def _min_length(profile: Sequence[int]) -> int:
 
 
 def certify(code: CodeDescriptor) -> MdsCertificate:
-    """Certify the generator by the one rule of this module: for a row-degree
-    profile d_1 >= ... >= d_{k-1} > d_k, n >= sum_{i<k}(d_i + 1) + d_k + 1
-    and a superregular flattening give free distance n*C(d_k+m, m).  The
-    profile picks only the labels: RATE_1N for k = 1, else STAIRCASE_KN for
-    k - 1 rows of degree nu + 1 over one of degree nu, else
-    MD_STAIRCASE_BOUND.  The flattening is scanned when the length condition
-    holds, and for a profile the rule does not recognize, so that its
-    certificate still reports the scan.  A distance below the Singleton bound
-    for degree sum(d_i) is CERTIFIED_DISTANCE, not CERTIFIED_MDS, and fails
-    the hypothesis `meets_singleton_bound`.  NOT_CERTIFIED makes no claim of
-    non-MDS-ness."""
+    """Certify the generator by the one rule of this module (`_certificate`):
+    for a row-degree profile d_1 >= ... >= d_{k-1} > d_k,
+    n >= sum_{i<k}(d_i + 1) + d_k + 1 and a superregular flattening give free
+    distance n*C(d_k+m, m).  The profile picks only the labels: RATE_1N for
+    k = 1, else STAIRCASE_KN for k - 1 rows of degree nu + 1 over one of
+    degree nu, else MD_STAIRCASE_BOUND.  `phi_flatten(code.generator)` is
+    scanned when the length condition holds, and for a profile the rule does
+    not recognize, so that its certificate still reports the scan.  A distance
+    below the Singleton bound for degree sum(d_i) is CERTIFIED_DISTANCE, not
+    CERTIFIED_MDS, and fails the hypothesis `meets_singleton_bound`.
+    NOT_CERTIFIED makes no claim of non-MDS-ness."""
+    return _certificate(code, lambda: is_superregular(phi_flatten(code.generator).matrix))
+
+
+def _certificate(code: CodeDescriptor,
+                 scan: Callable[[], superreg.SuperregularityReport]) -> MdsCertificate:
+    """`certify`'s rule; `scan()` reports the flattening's scan, run if needed."""
     m, k, n = code.m, code.k, code.n
     degrees = code.generator.row_degrees()
     if NEG_INF in degrees:
@@ -254,7 +260,7 @@ def certify(code: CodeDescriptor) -> MdsCertificate:
         )]
     # Scan an unrecognized profile, or a recognized one whose length holds.
     if not hyps[0].passed or hyps[1].passed:
-        hyps.append(_superregularity_hypothesis(code.generator))
+        hyps.append(_superregularity_hypothesis(scan()))
     if not all(h.passed for h in hyps):
         return MdsCertificate(theorem, tuple(hyps), NOT_CERTIFIED)
     distance = staircase_distance_bound(m, n, nu)
@@ -299,10 +305,10 @@ def construct_mds_staircase(
 ) -> tuple[CodeDescriptor, MdsCertificate]:
     """Build a certified MDS rate-k/n code of degree k*nu + k - 1: k - 1 rows
     of degree nu + 1 and one row of degree nu, flattening superregular.
-    Each candidate source is lifted into one row per degree of that profile,
-    and the first lift of the profile that `certify` passes is returned.  Such
-    a lift flattens to its source, so its certificate is the source's only
-    superregularity scan."""
+    Each candidate source is scanned once; the first that passes, having no
+    zero entry, lifts to exactly one row per degree of that profile and
+    flattens back to itself, so the certificate reuses its scan and equals
+    `certify` of the code, CERTIFIED_MDS."""
     if k < 1:
         raise ValueError("k must be >= 1")
     profile = [nu + 1] * (k - 1) + [nu]
@@ -332,14 +338,10 @@ def construct_mds_staircase(
     else:
         raise ValueError(f"unknown source {source!r}")
     for S in candidates:
-        G = phi_lift(S, m, [(1, d) for d in profile])
-        # A zero top-degree slice lowers a row's degree, and the lower-degree
-        # code could still certify; only a lift of `profile` flattens to S.
-        if G.row_degrees() == profile:
-            code = CodeDescriptor.from_generator(G)
-            cert = certify(code)
-            if cert.verdict == CERTIFIED_MDS:
-                return code, cert
+        report = is_superregular(S)
+        if report.verdict:
+            code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))
+            return code, _certificate(code, lambda: report)
     raise ConstructionError("source matrix is not superregular")
 
 

@@ -155,7 +155,9 @@ def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class FiniteField:
-    """The finite field GF(p^e).  Immutable; operations are pure."""
+    """GF(p^e) as GF(p)[x] modulo `irreducible`, monic of degree e, given iff
+    e > 1; immutable.  A reducible modulus is meant only for Ben-Or's candidate
+    rings in `_is_irreducible`, where `inv` of a non-unit raises GaloisError."""
 
     p: int
     e: int
@@ -167,6 +169,12 @@ class FiniteField:
         default=None, init=False, compare=False, repr=False)
     _zech: tuple[int | None, ...] | None = field(
         default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        p, e, f = self.p, self.e, self.irreducible
+        if not is_prime(p) or e < 1 or (f is None) != (e == 1) or f is not None and (
+                len(f) != e + 1 or f[-1] != 1 or any(c not in range(p) for c in f)):
+            raise GaloisError(f"p = {p}, e = {e}, modulus {f} do not define GF({p}^{e})")
 
     @property
     def q(self) -> int:
@@ -249,6 +257,8 @@ class FiniteField:
                 for j, y in enumerate(s1):
                     s[i + j] = (s[i + j] - x * y) % p
             r0, r1, s0, s1 = r1, rem, s1, s
+        if not r1:
+            raise GaloisError(f"{a} is not a unit modulo {self.irreducible}")
         c = pow(r1[0], -1, p)
         return from_digits([c * x % p for x in s1], p)
 

@@ -162,6 +162,32 @@ MUTANTS = [
     ("shortest admissible length refused", "codes.py",
      "if n < (need :=", "if n <= (need :=",
      (CLI, "golden")),
+    ("failing draw lifted anyway", "codes.py",
+     "        if report.verdict:\n"
+     "            code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))\n",
+     "        code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))\n"
+     "        if report.verdict:\n",
+     ("tests/test_codes.py", "lifts_only")),
+    ("certificate built from the previous candidate's report", "codes.py",
+     "    for S in candidates:\n"
+     "        report = is_superregular(S)\n"
+     "        if report.verdict:\n"
+     "            code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))\n"
+     "            return code, _certificate(code, lambda: report)\n",
+     "    prev = None\n"
+     "    for S in candidates:\n"
+     "        report = is_superregular(S)\n"
+     "        if report.verdict:\n"
+     "            code = CodeDescriptor.from_generator(phi_lift(S, m, [(1, d) for d in profile]))\n"
+     "            return code, _certificate(code, lambda: prev or report)\n"
+     "        prev = report\n",
+     ("tests/test_codes.py", "equals_certify")),
+    ("composite characteristic accepted", "galois.py",
+     "if not is_prime(p) or e < 1", "if e < 1",
+     ("tests/test_galois.py", "non_fields")),
+    ("non-unit inverse unchecked", "galois.py",
+     "        if not r1:\n            raise GaloisError(", "        if False:\n            raise GaloisError(",
+     ("tests/test_galois.py", "ben_or")),
 ]
 
 

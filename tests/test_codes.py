@@ -301,8 +301,9 @@ def test_construct_staircase_length_precondition():
 
 @pytest.mark.parametrize("entries", [((1, 2), (0, 0)), ((1, 2), (2, 4))])
 def test_construct_rejects_explicit_source_that_is_not_superregular(entries):
-    # ((1, 2), (0, 0)) lifts to a degree-0 row whose own flattening is
-    # superregular; ((1, 2), (2, 4)) has a zero 2x2 minor.
+    # ((1, 2), (0, 0)) would lift to a degree-0 row whose own flattening is
+    # superregular, but its zero entries fail the source's scan;
+    # ((1, 2), (2, 4)) has a zero 2x2 minor.
     with pytest.raises(ConstructionError, match="not superregular"):
         construct_mds_rate_1n(F5, 1, 2, 1, source=ConstMatrix(F5, entries))
 
@@ -360,6 +361,62 @@ def test_random_source_scans_each_try_once(monkeypatch, F, seed):
     code, _ = construct_mds_staircase(F, 1, 2, 3, 0, source="random", seed=seed)
     losers = itertools.islice(random_matrices(F, 3, 3, seed), tries - 1)
     assert scanned == [A.entries for A in losers] + [phi_flatten(code.generator).matrix.entries]
+
+
+@pytest.mark.parametrize("F, seed", [(F7, 3), (make_field(2, 3), 1)])
+def test_random_search_lifts_only_the_source_it_returns(monkeypatch, F, seed):
+    # Both searches reject their first draw (GF(7) passes on try 9, GF(8)
+    # on try 5); a rejected draw is never lifted.
+    assert not is_superregular(next(random_matrices(F, 3, 3, seed))).verdict
+    lifted = []
+
+    def counting(S, m, row_plan):
+        lifted.append(S.entries)
+        return phi_lift(S, m, row_plan)
+
+    monkeypatch.setattr(codes, "phi_lift", counting)
+    code, cert = construct_mds_staircase(F, 1, 2, 3, 0, source="random", seed=seed)
+    assert lifted == [phi_flatten(code.generator).matrix.entries]
+    assert cert == certify(code)
+
+
+SHORTCUT_FIELDS = [F5, F7, F11, make_field(13), make_field(2, 2), make_field(2, 3),
+                   make_field(3, 2), make_field(2, 4)]
+
+
+@st.composite
+def construction_calls(draw):
+    """Arguments of a construction with k, m in {1, 2} from an explicit
+    (Cauchy or arbitrary), Cauchy or random source."""
+    F = draw(st.sampled_from(SHORTCUT_FIELDS))
+    m, k, nu = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    profile = [nu + 1] * (k - 1) + [nu]
+    rows = sum(support_count(d, m) for d in profile)
+    n = draw(st.integers(sum(profile) + k, sum(profile) + k + 1))
+    source = draw(st.sampled_from(["explicit", "cauchy", "random"]))
+    if source == "explicit" and F.q >= rows + n and draw(st.booleans()):
+        points = draw(st.permutations(range(F.q)))
+        source = cauchy_matrix(F, points[:rows], points[rows:rows + n])
+    elif source == "explicit":
+        entry = st.integers(0, F.q - 1)
+        source = ConstMatrix(F, tuple(tuple(draw(entry) for _ in range(n)) for _ in range(rows)))
+    return F, m, k, n, nu, source, draw(st.integers(0, 2**31)), draw(st.integers(1, 30))
+
+
+@settings(max_examples=80, deadline=None)
+@given(construction_calls())
+@example((F7, 1, 2, 3, 0, "random", 3, 30))
+@example((make_field(2, 3), 1, 2, 3, 0, "random", 1, 30))
+def test_construction_certificate_equals_certify(call):
+    # The construction's certificate reuses the scan of its source; `certify`
+    # scans the code's flattening afresh.  The examples pass on a later draw.
+    F, m, k, n, nu, source, seed, max_tries = call
+    try:
+        code, cert = construct_mds_staircase(F, m, k, n, nu, source, seed, max_tries)
+    except (ConstructionError, SearchExhaustedError):
+        return
+    assert cert.verdict == CERTIFIED_MDS
+    assert cert == certify(code)
 
 
 ORACLE_FIELDS = [make_field(*pe) for pe in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (3, 2)]]

@@ -42,6 +42,31 @@ def test_make_field_rejects_bad_input():
         make_field(2, 63)
 
 
+@pytest.mark.parametrize("p, e, modulus", [
+    (4, 1, None),             # a "GF(4)" in which 2 * 2 = 0
+    (1, 1, None), (2, 0, None), (5, -1, None),
+    (3, 2, (1, 1)),           # a degree-1 modulus for q = 9
+    (3, 1, (1, 1)),           # a modulus on a prime field
+    (2, 2, None),             # no modulus on an extension
+    (2, 2, (1, 0, 2)),        # not monic
+    (2, 2, (1, 2, 1)),        # a coefficient outside range(p)
+    (3, 2, (-2, 0, 1)),
+])
+def test_finite_field_rejects_non_fields(p, e, modulus):
+    with pytest.raises(GaloisError, match="do not define"):
+        FiniteField(p, e, modulus)
+
+
+def test_ben_or_ring_builds_and_refuses_non_unit_inverse():
+    # GF(2)[x]/(x^2 + 1) is the ring `_is_irreducible` builds for x^2 + 1 =
+    # (x + 1)^2; x + 1 (code 3) is a zero divisor there, and x (code 2) a unit.
+    ring = FiniteField(2, 2, (1, 0, 1))
+    assert not _is_irreducible((1, 0, 1), 2)
+    assert ring.mul(2, ring.inv(2)) == 1
+    with pytest.raises(GaloisError, match="not a unit"):
+        ring.inv(3)
+
+
 def _trial_division_is_prime(n):
     return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
 
