@@ -327,14 +327,13 @@ def construct_mds_staircase(
         candidates = [cauchy_matrix(F, list(range(rows)), list(range(rows, rows + n)))]
     elif source == "random":
         candidates = random_matrices(F, rows, n, seed, max_tries)
-        # Ball (JEMS 2012): over a prime field an MDS code [I | A] with
-        # 2 <= k <= q has length at most q + 1, and a superregular r x s
-        # matrix with r, s >= 2 has r, s <= q - 1, so no draw can pass.
-        if F.e == 1 and min(rows, n) >= 2 and rows + n > F.q + 1:
-            raise FieldTooSmallError(
-                f"no superregular {rows}x{n} matrix exists over GF({F.q}): over a prime "
-                f"field, r, s >= 2 needs r + s <= q + 1 = {F.q + 1} (Ball 2012)"
-            )
+        # Ball (JEMS 2012): over GF(p^e) an MDS code of dimension 2 <= k <= p has
+        # length <= q + 1.  A superregular r x s A makes [I | A] and [I | A^T] MDS, of
+        # dimensions r and s; over GF(p), r, s >= 2 forces r, s <= p - 1 anyway.
+        if min(rows, n) >= 2 and (F.e == 1 or min(rows, n) <= F.p) and rows + n > F.q + 1:
+            shape = "over a prime field, r, s >= 2" if F.e == 1 else f"2 <= min(r, s) <= p = {F.p}"
+            raise FieldTooSmallError(f"no superregular {rows}x{n} matrix exists over GF({F.q}): "
+                                     f"{shape} needs r + s <= q + 1 = {F.q + 1} (Ball 2012)")
     else:
         raise ValueError(f"unknown source {source!r}")
     for S in candidates:

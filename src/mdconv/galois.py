@@ -7,19 +7,18 @@ inverses come from Python's builtin pow(a, -1, p).
 
 Extension fields from `make_field` with q <= _TABLE_MAX_Q keep an exp table
 of a primitive element g and its log table (Lidl-Niederreiter, "Introduction
-to Finite Fields and Their Applications", ch. 9), so `mul` and `inv` are two
-or three list lookups instead of polynomial multiply-and-reduce and an
-extended Euclid in GF(p)[x].  The tables take O(q) memory and O(q) multiplies
-to build, so larger fields, up to q = 2^62, keep the polynomial path, which
-is also the code that builds the tables.
+to Finite Fields and Their Applications", ch. 9), and `make_field` sets
+lookups over them, made once per field, as the field's own `add`, `mul`,
+`neg` and `inv`: a * b = g^(log a + log b) and 1/a = g^(q - 1 - log a).  For
+p = 2, `add` is XOR and `neg` the identity.  Odd p also keeps Zech
+logarithms, zech[n] = log(1 + g^n), so a + b = g^(log a + zech[log b - log a])
+and -a = g^(log a + (q - 1)/2).  The tables take O(q) memory and O(q)
+multiplies to build, so larger fields, up to q = 2^62, keep the methods of
+`FiniteField`.  `make_field` is memoized: each (p, e) builds its tables once.
 
-Addition is digitwise mod p, and on extension fields it takes one of three
-paths.  For p = 2 it is `a ^ b` on every field, tabled or not, and `neg` is
-the identity.  Tabled fields of odd p also keep Zech logarithms,
-zech[n] = log(1 + g^n), so a + b = g^(log a + zech[log b - log a]) and
--a = g^(log a + (q - 1)/2).  Fields of odd p above _TABLE_MAX_Q, and any
-field built directly with `FiniteField(...)`, add digit by digit.  `make_field`
-is memoized, so each (p, e) builds its tables once per process.
+Those methods are table-free (modulo p; XOR or digitwise addition,
+multiply-and-reduce and extended Euclid over GF(p)[x]): they build the tables,
+serve untabled fields, and are the oracle the lookups are tested against.
 
 The canonical irreducible is selected with Ben-Or's test ("Probabilistic
 algorithms in finite fields", FOCS 1981): f of degree e is irreducible iff
@@ -30,6 +29,7 @@ milliseconds even for GF(2^61).
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -156,15 +156,16 @@ def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FiniteField:
     """GF(p^e) as GF(p)[x] modulo `irreducible`, monic of degree e, given iff
-    e > 1; immutable.  A reducible modulus is meant only for Ben-Or's candidate
-    rings in `_is_irreducible`, where `inv` of a non-unit raises GaloisError."""
+    e > 1; immutable.  The methods are table-free: a tabled field from
+    `make_field` carries its own lookup add, mul, neg and inv in their place.
+    A reducible modulus is meant only for Ben-Or's candidate rings in
+    `_is_irreducible`, where `inv` of a non-unit raises GaloisError."""
 
     p: int
     e: int
     irreducible: tuple[int, ...] | None = field(default=None)
-    # (exp, log) of a primitive element g, and for odd p the Zech logarithms
-    # zech[n] = log(1 + g^n), None where 1 + g^n = 0; set only by
-    # `make_field`.  See the module docstring.
+    # Set only by `make_field`: (exp, log) of a primitive element g, and for odd
+    # p the Zech logarithms zech[n] = log(1 + g^n), None where 1 + g^n = 0.
     _log_exp: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, init=False, compare=False, repr=False)
     _zech: tuple[int | None, ...] | None = field(
@@ -192,19 +193,9 @@ class FiniteField:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._zech is None:
-            p, e = self.p, self.e
-            da, db = to_digits(a, p, e), to_digits(b, p, e)
-            return from_digits([(x + y) % p for x, y in zip(da, db)], p)
-        if not (a and b):
-            return a or b
-        # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]).  The zech
-        # table has length q - 1, so a negative index reads the exponent
-        # difference mod q - 1.
-        exp, log = self._log_exp
-        la = log[a]
-        z = self._zech[log[b] - la]
-        return 0 if z is None else exp[la + z]
+        p, e = self.p, self.e
+        da, db = to_digits(a, p, e), to_digits(b, p, e)
+        return from_digits([(x + y) % p for x, y in zip(da, db)], p)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -214,19 +205,12 @@ class FiniteField:
             return (-a) % self.p
         if self.p == 2 or not a:
             return a
-        if self._zech is not None:
-            # -1 = g^((q-1)/2), and (q-1)/2 = q // 2 = len(log) // 2 for odd q.
-            exp, log = self._log_exp
-            return exp[log[a] + len(log) // 2]
         p = self.p
         return from_digits([(-x) % p for x in to_digits(a, p, self.e)], p)
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
-        if self._log_exp is not None:
-            exp, log = self._log_exp
-            return exp[log[a] + log[b]] if a and b else 0
         p, e = self.p, self.e
         da, db = to_digits(a, p, e), to_digits(b, p, e)
         prod = [0] * (2 * e - 1)
@@ -242,9 +226,6 @@ class FiniteField:
         p = self.p
         if self.e == 1:
             return pow(a, -1, p)
-        if self._log_exp is not None:
-            exp, log = self._log_exp
-            return exp[len(log) - 1 - log[a]]
         # Extended Euclid on (f, a): s_i * a = r_i (mod f) throughout.  The
         # last nonzero remainder is a constant because f is irreducible.
         r0, r1 = self.irreducible, _trim(to_digits(a, p, self.e))
@@ -274,6 +255,11 @@ class FiniteField:
             if bit == "1":
                 acc = self.mul(acc, a)
         return acc
+
+    def __reduce__(self):
+        # A tabled field's own ops are closures: pickle it as its make_field call.
+        args = (self.p, self.e, self.irreducible)
+        return (make_field, args[:2]) if self._log_exp else (FiniteField, args)
 
     def to_json(self) -> dict:
         out: dict = {"p": self.p, "e": self.e}
@@ -335,12 +321,42 @@ def make_field(p: int, e: int = 1) -> FiniteField:
     if e == 1:
         return FiniteField(p, 1, None)
     F = FiniteField(p, e, _canonical_irreducible(p, e))
-    if F.q <= _TABLE_MAX_Q:
-        exp, log = _log_exp_tables(F)
-        if p > 2:
-            # 1 + x differs from x only in digit 0.
-            zech = tuple(log[s] if (s := x - x % p + (x + 1) % p) else None
-                         for x in exp[:F.q - 1])
-            object.__setattr__(F, "_zech", zech)
-        object.__setattr__(F, "_log_exp", (exp, log))
+    if F.q > _TABLE_MAX_Q:
+        return F
+    # F's class methods build the tables; lookups over them, each made once
+    # here, become F's own add, mul, neg and inv.  See the module docstring.
+    exp, log = _log_exp_tables(F)
+    n = F.q - 1
+
+    def mul(a: int, b: int) -> int:
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a: int) -> int:
+        if a == 0:
+            raise GaloisError("0 has no multiplicative inverse")
+        return exp[n - log[a]]
+
+    if p == 2:
+        add, neg = operator.xor, operator.pos
+    else:
+        # 1 + x differs from x only in digit 0.
+        zech = tuple(log[s] if (s := x - x % p + (x + 1) % p) else None for x in exp[:n])
+        half = n // 2  # -1 = g^((q-1)/2)
+
+        def add(a: int, b: int) -> int:
+            if not (a and b):
+                return a or b
+            # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]); a negative
+            # index reads the exponent difference mod q - 1, the table's length.
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        def neg(a: int) -> int:
+            return exp[log[a] + half] if a else 0
+
+        object.__setattr__(F, "_zech", zech)
+    object.__setattr__(F, "_log_exp", (exp, log))
+    for name, op in [("add", add), ("mul", mul), ("neg", neg), ("inv", inv)]:
+        object.__setattr__(F, name, op)
     return F

@@ -89,9 +89,9 @@ def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
     is skipped.  A pivot's inverse is negated once, and computed only when a
     row lies below the pivot row (the last pivot of a square matrix
     eliminates nothing).  The loops run by index, so a call allocates nothing
-    but the pivot list.  F's operations are bound when this is called, never
-    cached across calls, so a method replaced on `FiniteField` after set-up
-    is the one used.
+    but the pivot list.  F's operations are read when this is called, never
+    cached across calls.  A tabled field carries its own lookups, so a method
+    replaced on `FiniteField` after set-up is used only by untabled fields.
     """
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
 

@@ -10,7 +10,8 @@ After them come, group by group, the cases of `BEHAVIOURS` not already
 listed: refused parameters, Ball's bound, the search budget and its give-up,
 pipelines that read back what `construct -o` wrote, codes that fail a
 hypothesis, malformed JSON documents, every abbreviation of `--message` with
-a negative number, and README's `bound` line.  Argparse's own usage errors
+a negative number, README's `bound` line, and Ball's bound over extension
+fields.  Argparse's own usage errors
 are not cases: their text differs across Python versions, and they leave
 `main` as a `SystemExit`.
 
@@ -240,6 +241,10 @@ BEHAVIOURS = {name: [shlex.split(line) for line in group] for name, group in {
         "encode -i c7.json --m -1e5"],
     # The line README shows, which prints 9.
     "bound_prints_value": ["bound --m 2 --k 1 --n 3 --delta 1"],
+    # 2x8 over GF(8) and 3x8 over GF(9): 2 <= min(r, s) <= p and r + s > q + 1.
+    "random_source_beyond_ball_bound_over_extension_field_exit_3": [
+        "construct --p 2 --e 3 --m 1 --n 8 --delta 1 --source random",
+        "construct --p 3 --e 2 --m 2 --n 8 --delta 1 --source random"],
 }.items()}
 CASES += [argv for group in BEHAVIOURS.values() for argv in group if argv not in CASES]
 

@@ -62,8 +62,20 @@ MUTANTS = [
      "for r in range(row + 1, nrows):", "for r in range(row + 1, nrows - 1):",
      (SR, "det_matches_cofactor or scan_report")),
     ("Zech entry off by one", "galois.py",
-     "z = self._zech[log[b] - la]", "z = self._zech[log[b] - la - 1]",
+     "z = zech[log[b] - la]", "z = zech[log[b] - la - 1]",
      ("tests/test_galois.py", "zech")),
+    ("odd-p negation by g^((q-1)/2 - 1)", "galois.py",
+     "half = n // 2", "half = n // 2 - 1",
+     ("tests/test_galois.py", "zech")),
+    ("tabled inverse read one exponent low", "galois.py",
+     "return exp[n - log[a]]", "return exp[n - log[a] - 1]",
+     ("tests/test_galois.py", "tables_match_polynomial_oracle")),
+    ("p = 2 addition bound as OR", "galois.py",
+     "add, neg = operator.xor,", "add, neg = operator.or_,",
+     ("tests/test_galois.py", "tables_match_polynomial_oracle")),
+    ("tabled product reads log a twice", "galois.py",
+     "exp[log[a] + log[b]]", "exp[log[a] + log[a]]",
+     ("tests/test_galois.py", "tables_match_polynomial_oracle")),
     ("Zech table's 1 + x increments digit 1", "galois.py",
      "x - x % p + (x + 1) % p", "x - x // p % p * p + (x // p + 1) % p * p",
      ("tests/test_galois.py", "zech")),
@@ -156,6 +168,9 @@ MUTANTS = [
     ("Ball's bound refuses r + s = q + 1", "codes.py",
      "rows + n > F.q + 1", "rows + n >= F.q + 1",
      (CLI, "giving_up")),
+    ("Ball's bound over GF(p^e) only for min(r, s) < p", "codes.py",
+     "min(rows, n) <= F.p", "min(rows, n) < F.p",
+     ("tests/test_codes.py", "ball_bound")),
     ("a budget of zero tries accepted", "superreg.py",
      "if max_tries < 1:", "if max_tries < 0:",
      (CLI, "max_tries")),

@@ -468,10 +468,13 @@ def test_random_construction_matches_prescan_oracle(case):
 
 
 def test_random_source_beyond_ball_bound_is_refused_before_any_scan(monkeypatch):
-    # 3x4 over GF(5) and 9x5 over GF(7) once took 10,000 scans to exit 3.
+    # 3x4 over GF(5), 9x5 over GF(7), 2x8 over GF(8) and 3x8 over GF(9) once
+    # took 10,000 scans to exit 3.
     scanned = _scanned_matrices(monkeypatch)
     for build in [lambda: construct_mds_rate_1n(F5, 2, 4, 1, source="random"),
-                  lambda: construct_mds_staircase(F7, 2, 2, 5, 1, source="random")]:
+                  lambda: construct_mds_staircase(F7, 2, 2, 5, 1, source="random"),
+                  lambda: construct_mds_rate_1n(make_field(2, 3), 1, 8, 1, source="random"),
+                  lambda: construct_mds_rate_1n(make_field(3, 2), 2, 8, 1, source="random")]:
         with pytest.raises(FieldTooSmallError, match=r"r \+ s <= q \+ 1"):
             build()
     assert scanned == []
@@ -479,13 +482,15 @@ def test_random_source_beyond_ball_bound_is_refused_before_any_scan(monkeypatch)
         construct_mds_rate_1n(F5, 2, 4, 1, source="random", max_tries=0)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 4, 8, 9, 16, 27])
 def test_ball_bound_refuses_exactly_the_shapes_beyond_q_plus_1(monkeypatch, q):
     # Every construction shape up to 16 rows and q + 3 columns, with an empty
-    # random stream: a shape is refused iff r, s >= 2 and r + s > q + 1, and
-    # otherwise reaches the (empty) search.
-    F = make_field(q)
+    # random stream: a shape is refused iff r + s > q + 1 and r, s >= 2 over
+    # a prime field, or 2 <= min(r, s) <= p over GF(p^e), and otherwise
+    # reaches the (empty) search.
+    F = next(make_field(p, e) for p in range(2, q + 1) for e in range(1, 6) if p**e == q)
     monkeypatch.setattr(codes, "random_matrices", lambda *args: iter(()))
+    searched = set()
     for m, k, nu in itertools.product([1, 2, 3], [1, 2, 3], [0, 1, 2]):
         profile = [nu + 1] * (k - 1) + [nu]
         rows = sum(codes.support_count(d, m) for d in profile)
@@ -494,10 +499,13 @@ def test_ball_bound_refuses_exactly_the_shapes_beyond_q_plus_1(monkeypatch, q):
         for n in range(codes._min_length(profile), q + 4):
             with pytest.raises(ConstructionError) as exc:
                 construct_mds_staircase(F, m, k, n, nu, source="random")
-            refused = min(rows, n) >= 2 and rows + n > q + 1
+            low = min(rows, n)
+            refused = low >= 2 and (F.e == 1 or low <= F.p) and rows + n > q + 1
             assert (exc.type is FieldTooSmallError) == refused, (m, k, nu, n)
-
-
+            if not refused:
+                searched.add((rows, n))
+    # A hyperoval gives a superregular 3x7 matrix over GF(8), beyond q + 1.
+    assert q != 8 or (3, 7) in searched
 @pytest.mark.parametrize("F, r, s", [(F2, 2, 2), (F3, 2, 3), (F3, 3, 2)])
 def test_no_superregular_matrix_just_beyond_ball_bound(F, r, s):
     # The refusals are right on the smallest prime fields: no r x s matrix

@@ -77,17 +77,33 @@ def test_scan_report_zero_last_entry_of_3x5():
     assert rep == SuperregularityReport(False, 15, ((2,), (4,), 0))
 
 
-@pytest.mark.parametrize("F", [F7, F8])
-def test_scan_inverse_counts(F, monkeypatch):
-    # Counted through FiniteField.inv, as the benchmark's tracer counts:
-    # minors up to 3x3 need no inverse.
-    A2 = cauchy_matrix(F, [0, 1], [2, 3, 4, 5])
-    A3 = cauchy_matrix(F, [0, 1, 2], [3, 4, 5])
+def untabled(F):
+    """F built from its own modulus, without tables: its ops are the
+    `FiniteField` methods, which a tabled field's own lookups bypass."""
+    return FiniteField(F.p, F.e, F.irreducible)
+
+
+def count_inverses(monkeypatch, F, build):
+    """The reports of the matrices `build(G)` over F's untabled twin G, and
+    the inverses their scans take through FiniteField.inv, as the benchmark's
+    tracer counts.  F itself must give the same matrices and reports."""
+    own, twin = build(F), build(untabled(F))
+    assert own == twin
     calls = []
     inv = FiniteField.inv
     monkeypatch.setattr(FiniteField, "inv", lambda self, a: calls.append(a) or inv(self, a))
-    assert is_superregular(A2).verdict and len(calls) == 0
-    assert is_superregular(A3).verdict and len(calls) == 0
+    reports = [is_superregular(A) for A in twin]
+    counted = len(calls)
+    assert [is_superregular(A) for A in own] == reports
+    return reports, counted
+
+
+@pytest.mark.parametrize("F", [F7, F8])
+def test_scan_inverse_counts(F, monkeypatch):
+    # Minors up to 3x3 need no inverse.
+    reports, counted = count_inverses(monkeypatch, F, lambda G: [
+        cauchy_matrix(G, [0, 1], [2, 3, 4, 5]), cauchy_matrix(G, [0, 1, 2], [3, 4, 5])])
+    assert all(rep.verdict for rep in reports) and counted == 0
 
 
 @pytest.mark.parametrize("F", [F8, make_field(11)])
@@ -95,11 +111,9 @@ def test_scan_inverse_counts_from_size_4(F, monkeypatch):
     # A 4x4 Cauchy matrix needs 8 points, more than GF(7) has.  Its one 4x4
     # minor is eliminated without a row swap, with one inverse per pivot but
     # the last, which has no row below it.
-    A4 = cauchy_matrix(F, [0, 1, 2, 3], [4, 5, 6, 7])
-    calls = []
-    inv = FiniteField.inv
-    monkeypatch.setattr(FiniteField, "inv", lambda self, a: calls.append(a) or inv(self, a))
-    assert is_superregular(A4).verdict and len(calls) == 3
+    reports, counted = count_inverses(monkeypatch, F, lambda G: [
+        cauchy_matrix(G, [0, 1, 2, 3], [4, 5, 6, 7])])
+    assert reports[0].verdict and counted == 3
 
 
 def test_minor_count_formula():
@@ -357,21 +371,36 @@ def test_scan_report_gf23_7x7_injected_zero_minor_matches_oracle():
     assert is_superregular(B) == scan_report(B) == SuperregularityReport(False, 789, (rs, cs, 0))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5), (7, 2), (2, 10)]),
-       st.data())
+# Every tabled extension field up to GF(49), and samples from GF(2^10) and GF(3^6).
+TWIN_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (2, 10), (3, 6)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(TWIN_FIELDS), st.data())
 def test_scan_and_det_match_over_polynomial_oracle_field(pe, data):
-    # The same matrix over the tabled field and over the untabled one built
-    # from the same irreducible gives the same report and determinant.
+    # The hot path over a tabled field, whose ops are its own lookups, and
+    # over its untabled twin, whose ops are the table-free class methods:
+    # the same scan report, determinant and nullspace.  Entries may be zero,
+    # and one row may combine t - 1 others on t columns, so that minor is zero.
     F = make_field(*pe)
-    O = FiniteField(F.p, F.e, F.irreducible)
-    r, s = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    O = untabled(F)
+    r, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     entry = st.integers(0 if data.draw(st.booleans()) else 1, F.q - 1)
-    E = tuple(tuple(data.draw(entry) for _ in range(s)) for _ in range(r))
-    assert is_superregular(ConstMatrix(F, E)) == is_superregular(ConstMatrix(O, E))
-    t = min(r, s)
-    square = tuple(row[:t] for row in E[:t])
-    assert det(ConstMatrix(F, square)) == det(ConstMatrix(O, square))
+    E = [[data.draw(entry) for _ in range(s)] for _ in range(r)]
+    t = data.draw(st.integers(1, min(r, s)))
+    rs, cs = data.draw(st.permutations(range(r)))[:t], data.draw(st.permutations(range(s)))[:t]
+    coeffs = [data.draw(st.integers(0, F.q - 1)) for _ in range(t - 1)]
+    if t > 1:
+        combined = combination(O, [[E[i][j] for j in cs] for i in rs[1:]], coeffs)
+        for j, x in zip(cs, combined):
+            E[rs[0]][j] = x
+    A, B = ConstMatrix(F, tuple(map(tuple, E))), ConstMatrix(O, tuple(map(tuple, E)))
+    assert is_superregular(A) == is_superregular(B)
+    assert nullspace(A) == nullspace(B)
+    n = min(r, s)
+    for rows, cols in [(range(n), range(n)), (sorted(rs), sorted(cs))]:
+        assert det(submatrix(A, rows, cols)) == det(submatrix(B, rows, cols))
+    assert t == 1 or det(submatrix(A, sorted(rs), sorted(cs))) == 0
 
 
 def test_json_round_trip():
