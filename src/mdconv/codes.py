@@ -153,17 +153,20 @@ def phi_flatten(G: PolyMatrix) -> FlattenedMatrix:
     """Stack, per source row, the coefficient row-vectors of all monomials of
     total degree up to the row degree (zero coefficients included), rows in
     source order, monomials in canonical order."""
-    if all(p.is_zero() for row in G.entries for p in row):
+    degrees = G.row_degrees()
+    if all(d == NEG_INF for d in degrees):
         raise ValueError("cannot flatten the zero matrix")
     rows: list[tuple[int, ...]] = []
     index: list[tuple[int, ExponentVector]] = []
-    for r, (row, d) in enumerate(zip(G.entries, G.row_degrees())):
+    for r, (row, d) in enumerate(zip(G.entries, degrees)):
+        terms = [p.terms for p in row]
         # A zero row carries no support; emit its single degree-0 slice
         # (all zeros), which correctly fails any superregularity check.
         for alpha in monomials_upto(max(d, 0), G.m):
-            rows.append(tuple(p.coeff(alpha) for p in row))
+            rows.append(tuple([t.get(alpha, 0) for t in terms]))
             index.append((r + 1, alpha))
-    return FlattenedMatrix(ConstMatrix(G.field, tuple(rows)), tuple(index))
+    # G's polynomials checked their coefficients, so the rows need no check.
+    return FlattenedMatrix(ConstMatrix._unchecked(G.field, tuple(rows)), tuple(index))
 
 
 def phi_lift(
@@ -175,21 +178,25 @@ def phi_lift(
     degree d consumes C(d+m, m) consecutive rows of S as the coefficients
     of the canonical monomial sequence.
     """
+    if any(b < 0 for b, _ in row_plan):
+        raise ValueError(f"row plan {list(row_plan)} has a negative block size")
     expected = sum(b * support_count(d, m) for b, d in row_plan)
     if expected != S.rows:
         raise ValueError(f"row plan needs {expected} rows, matrix has {S.rows}")
+    # S checked its entries and monomials_upto(d, m) its exponent vectors (and
+    # m >= 1), so neither the polynomials nor the matrix need a check.
     F = S.field
-    out_rows: list[list[Polynomial]] = []
+    out_rows: list[tuple[Polynomial, ...]] = []
     pos = 0
     for block_rows, d in row_plan:
         exps = monomials_upto(d, m)
         for _ in range(block_rows):
-            out_rows.append([
-                Polynomial(F, m, {alpha: S.entries[pos + t][c] for t, alpha in enumerate(exps)})
-                for c in range(S.cols)
-            ])
+            block = S.entries[pos:pos + len(exps)]
+            out_rows.append(tuple(
+                Polynomial._unchecked(F, m, dict(zip(exps, col))) for col in zip(*block)
+            ))
             pos += len(exps)
-    return PolyMatrix(F, m, out_rows)
+    return PolyMatrix._unchecked(F, m, tuple(out_rows))
 
 
 # ---------------------------------------------------------------------------

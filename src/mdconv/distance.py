@@ -16,33 +16,36 @@ the first batch that stops, which makes reports deterministic and
 independent of the worker count and batch size.
 
 Codewords are computed over the prime subfield GF(p), for every field
-GF(p^e), by one int64 matrix product: each message coefficient is
-expanded to its e base-p digits (its power-basis coordinates, see
-`galois`) and each generator coefficient g to the e x e GF(p) matrix of
-x -> g*x.  A codeword coefficient's e digits, read in base p, are its
-code in range(q); prime fields are the case e = 1.  The map is linear,
-so for a tail counter x = h*Q + l with Q = q^L, a codeword is a high part
-(the leading 1 and h) plus a low part (l in the last L positions), and a
-coefficient is zero exactly when its low code equals its negated high
-code (negation is digitwise, d -> (p - d) % p).  The Q low parts are
-encoded once per search into a float32 one-hot table B with a row per
-coefficient and low code that occurs, K <= n*T*min(q, Q) rows.  A batch
-of whole high parts encodes each once, as one-hot rows A of its negated
-codes, so A @ B counts the zero coefficients of every message in the
-batch and its weight is n*T minus that count.  A count is an integer of
-at most n*T, and float32 holds every integer up to 2^24 exactly, so the
-sums are exact in any order, on any number of BLAS threads.  Q is the
-largest q^L, L <= dim // 2, whose table (at most n*T*q rows by Q) fits
-in `_BATCH_ELEMENTS`; half the positions balance the table against the
-high parts of the largest stratum.  A field too large for a table of q
-low parts (n*T*q^2 > `_BATCH_ELEMENTS`) gets none, and each of its
-messages is encoded on its own.  numpy is imported on first use, so
-`import mdconv` does not pay for it.
+GF(p^e), by one matrix product: each message coefficient is expanded to
+its e base-p digits (its power-basis coordinates, see `galois`) and each
+generator coefficient g to the e x e GF(p) matrix of x -> g*x.  The
+product runs in float64 (BLAS) where every partial sum, at most
+dim*e*(p - 1)^2, and every code, at most q - 1, is an integer below 2^53,
+and in int64 above that.  A codeword coefficient's e digits, read in
+base p, are its code in range(q); prime fields are the case e = 1.  The
+map is linear, so for a tail counter x = h*Q + l with Q = q^L, a codeword
+is a high part (the leading 1 and h) plus a low part (l in the last L
+positions), and a coefficient is zero exactly when its high code equals
+its negated low code (negation is digitwise, d -> (p - d) % p).  The Q
+low parts are encoded and negated once per search into a float32 one-hot
+table B with a row per coefficient and negated low code that occurs,
+K <= n*T*min(q, Q) rows.  A batch of whole high parts encodes each once,
+as one-hot rows A of its codes, so A @ B counts the zero coefficients of
+every message in the batch and its weight is n*T minus that count.  A
+count is an integer of at most n*T, and float32 holds every integer up to
+2^24 exactly, so the sums are exact in any order, on any number of BLAS
+threads.  Q is the largest q^L, L <= dim // 2, whose table (at most
+n*T*q rows by Q) fits in `_BATCH_ELEMENTS`; half the positions balance
+the table against the high parts of the largest stratum.  A field too
+large for a table of q low parts (n*T*q^2 > `_BATCH_ELEMENTS`) gets none,
+and each of its messages is encoded on its own.  numpy is imported on
+first use, so `import mdconv` does not pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .galois import to_digits
@@ -86,6 +89,15 @@ def codeword_weight_profile(G: PolyMatrix) -> list[tuple[int, int]]:
     ]
 
 
+def _product_dtype(dim: int, p: int, e: int) -> str:
+    """The dtype of the encode map's arithmetic.  A codeword digit sums dim*e
+    products of two digits below p, so its partial sums are integers of at
+    most dim*e*(p - 1)^2, and a code sums its e digits times powers of p to at
+    most q - 1.  float64 (BLAS) holds every such integer exactly, in any order,
+    when both bounds are below 2^53; otherwise the arithmetic runs in int64."""
+    return "float64" if max(dim * e * (p - 1) ** 2, p**e - 1) < 1 << 53 else "int64"
+
+
 class _Enumerator:
     """Shared geometry, encode map, low table and batch order for one search."""
 
@@ -98,15 +110,13 @@ class _Enumerator:
         self.monomials = monomials_upto(cap, self.m)
         self.s = len(self.monomials)
         self.dim = self.k * self.s
-        # Output monomial set: every alpha + beta reachable from the cap
-        # monomials and the generator supports.
-        out = set()
-        for alpha in self.monomials:
-            for row in G.entries:
-                for p in row:
-                    for beta in p.terms:
-                        out.add(tuple(a + b for a, b in zip(alpha, beta)))
-        self.out_monomials = sorted(out, key=term_key)
+        # The generator's terms (row j, column i, exponent beta, coefficient),
+        # and per beta the output monomials alpha + beta over the cap monomials.
+        terms = [(j, i, beta, cf) for j, row in enumerate(G.entries)
+                 for i, poly in enumerate(row) for beta, cf in poly.terms.items()]
+        shifted = {beta: [tuple(map(add, alpha, beta)) for alpha in self.monomials]
+                   for _, _, beta, _ in terms}
+        self.out_monomials = sorted({g for gs in shifted.values() for g in gs}, key=term_key)
         self.T = len(self.out_monomials)
         self.ncoef = ncoef = self.n * self.T
         out_idx = {g: t for t, g in enumerate(self.out_monomials)}
@@ -118,6 +128,7 @@ class _Enumerator:
                 f"distance search over {F!r} with {self.dim} message coefficients "
                 "would overflow int64 arithmetic"
             )
+        dtype = _product_dtype(self.dim, p, e)
 
         def mul_block(g: int) -> list[list[int]]:
             # Row i: the digits of g * x^i, the image of the i-th basis element.
@@ -125,28 +136,29 @@ class _Enumerator:
 
         # Linear encode map over GF(p): the e message digits of coefficient
         # (j, alpha) -> digit d of codeword coefficient (i, alpha + beta), in
-        # column d*n*T + i*T + t (digit-major).
-        M = np.zeros((self.dim * e, e, ncoef), dtype=np.int64)
-        for j, row in enumerate(G.entries):
-            for i, poly in enumerate(row):
-                for beta, cf in poly.terms.items():
-                    block = mul_block(cf)
-                    for a, alpha in enumerate(self.monomials):
-                        r = (j * self.s + a) * e
-                        c = i * self.T + out_idx[tuple(x + y for x, y in zip(alpha, beta))]
-                        M[r:r + e, :, c] = block
-        self.M = M.reshape(self.dim * e, -1)
+        # column d*n*T + i*T + t (digit-major), set by one indexed assignment.
+        M = np.zeros((self.k, self.s, e, e, ncoef), dtype=dtype)
+        if terms:
+            M[np.repeat([j for j, *_ in terms], self.s), np.tile(np.arange(self.s), len(terms)),
+              :, :, [i * self.T + out_idx[g] for _, i, beta, _ in terms for g in shifted[beta]]
+              ] = np.repeat([mul_block(cf) for *_, cf in terms], self.s, axis=0)
+        # Rows in place order: message position x (of dim) and digit d at row
+        # (dim - 1 - x)*e + d, the base-p place of that digit in a tail
+        # counter, whose base-p digits are its positions' digits since q = p^e.
+        self.M = M.reshape(self.dim, e, e * ncoef)[::-1].reshape(self.dim * e, -1)
         # free[d, v]: flat position d's monomial has exponent 0 in variable
         # v.  A normalized message is nonzero at a free position of each v.
+        # free_places is the same per row of M.
         self.free = np.array(self.monomials * self.k) == 0
+        self.free_places = np.repeat(self.free[::-1], e, axis=0)
         # Q = q^L low parts (the last L <= dim // 2 positions): the largest
         # table whose one-hot matrix, at most q codes per coefficient, fits.
         self.Q = max(q**L for L in range(self.dim // 2 + 1)
                      if L == 0 or q ** (L + 1) * max(1, ncoef) <= _BATCH_ELEMENTS)
-        low, self.low_ok = self.codewords(range(self.Q), None)
-        # A low code is below width: any of GF(q) once Q >= q, else 0.  Key
-        # c*width + a stands for code a at coefficient c, and col[key] is the
-        # key's row of the one-hot table B, or -1 when no low part has it.
+        low, self.low_ok = self.codewords(range(self.Q), None, negate=True)
+        # A negated low code is below width: any of GF(q) once Q >= q, else 0.
+        # Key c*width + a stands for code a at coefficient c, and col[key] is
+        # the key's row of the one-hot table B, or -1 when no low part has it.
         self.width = width = min(q, self.Q)
         self.offsets = width * np.arange(ncoef, dtype=np.int64)
         key = low + self.offsets
@@ -154,14 +166,14 @@ class _Enumerator:
         seen[key] = True
         self.col = np.cumsum(seen) - 1
         self.col[~seen] = -1
-        # B[j, l] = 1 iff low part l has the code of row j.
+        # B[j, l] = 1 iff low part l has the negated code of row j.
         self.B = np.zeros((int(seen.sum()), self.Q), dtype=np.float32)
         self.B[self.col[key], np.arange(self.Q)[:, None]] = 1
         # High parts per batch: B, a batch's one-hot rows and its product
         # hold at most _BATCH_ELEMENTS values together (or one row more).
         self.rows = max(1, (_BATCH_ELEMENTS - self.B.size) // (len(self.B) + self.Q))
 
-    def codewords(self, x, lead: Optional[int], negate: bool = False):
+    def codewords(self, x: range, lead: Optional[int], negate: bool = False):
         """Codeword coefficient codes (an N x n*T array over range(q)) of the
         messages with tail counters x after a 1 at `lead`, negated when
         `negate`, and per variable whether each message has a nonzero term
@@ -169,20 +181,34 @@ class _Enumerator:
         import numpy as np
 
         p, e = self.F.p, self.F.e
-        C = np.zeros((len(x), self.dim), dtype=np.int64)
-        rem = np.array(x, dtype=np.int64)
-        for d in range(self.dim - 1, -1 if lead is None else lead, -1):
-            rem, C[:, d] = np.divmod(rem, self.F.q)
+        # The counters' base-p digits up to the largest one's top digit: every
+        # higher place is 0 in every message, and p^(places - 1) <= x[-1]
+        # fits int64.
+        places = 0
+        while p**places <= x[-1]:
+            places += 1
+        xs = np.arange(x.start, x.stop, x.step, dtype=np.int64)
+        digits = xs[:, None] // p ** np.arange(places, dtype=np.int64) % p
+        W = digits.astype(self.M.dtype) @ self.M[:places]
+        ok = (digits != 0) @ self.free_places[:places]
         if lead is not None:
-            C[:, lead] = 1
-        digits = C[:, :, None] // p ** np.arange(e, dtype=np.int64)
-        digits %= p
-        W = digits.reshape(len(C), self.dim * e) @ self.M
+            # The leading 1: digit 0 of position `lead`.
+            W += self.M[(self.dim - 1 - lead) * e]
+            ok |= self.free[lead]
         # Negation in GF(p^e) is digitwise.
-        W = (-W if negate else W) % p
-        # Columns are digit-major, so axis 1 of the reshape is the digit.
-        codes = p ** np.arange(e, dtype=np.int64) @ W.reshape(len(C), e, -1)
-        return codes, (C != 0) @ self.free
+        if negate:
+            np.negative(W, out=W)
+        if W.dtype == np.int64:
+            W %= p
+        else:
+            # Floor of an exact quotient of integers below 2^53 is exact, and
+            # much faster than float `%`.
+            W -= np.floor(W / p) * p
+        # Columns are digit-major: Horner over the digits, highest first.
+        codes = W[:, (e - 1) * self.ncoef:]
+        for d in reversed(range(e - 1)):
+            codes = codes * p + W[:, d * self.ncoef:(d + 1) * self.ncoef]
+        return codes.astype(np.int64), ok
 
     def message(self, p0: int, x: int) -> PolyMatrix:
         q = self.F.q
@@ -222,15 +248,15 @@ class _Enumerator:
 
         p0, h0, h1 = batch
         nl = min(self.Q, self.F.q ** (self.dim - 1 - p0))
-        high, high_ok = self.codewords(range(h0 * self.Q, h1 * self.Q, self.Q), p0, negate=True)
+        high, high_ok = self.codewords(range(h0 * self.Q, h1 * self.Q, self.Q), p0)
         # keep[h, l]: message h*Q + l is normalized (row-major is enumeration
         # order).  Only the count needs it: a message that is not normalized
         # weighs as much as its normalized shift, which comes first.
         keep = (high_ok[:, None] | self.low_ok[None, :nl]).all(axis=2)
         if not keep.any():
             return None, None, 0, False
-        # A coefficient is zero iff its low code is its negated high code:
-        # one-hot rows of the negated high codes times B count the zeros.
+        # A coefficient is zero iff its high code is its negated low code:
+        # one-hot rows of the high codes times B count the zeros.
         col = np.where(high < self.width, self.col.take(high + self.offsets, mode="clip"), -1)
         hit = col >= 0
         A = np.zeros((len(high), len(self.B)), dtype=np.float32)

@@ -9,12 +9,17 @@ Extension fields from `make_field` with q <= _TABLE_MAX_Q keep an exp table
 of a primitive element g and its log table (Lidl-Niederreiter, "Introduction
 to Finite Fields and Their Applications", ch. 9), and `make_field` sets
 lookups over them, made once per field, as the field's own `add`, `mul`,
-`neg` and `inv`: a * b = g^(log a + log b) and 1/a = g^(q - 1 - log a).  For
-p = 2, `add` is XOR and `neg` the identity.  Odd p also keeps Zech
-logarithms, zech[n] = log(1 + g^n), so a + b = g^(log a + zech[log b - log a])
-and -a = g^(log a + (q - 1)/2).  The tables take O(q) memory and O(q)
-multiplies to build, so larger fields, up to q = 2^62, keep the methods of
-`FiniteField`.  `make_field` is memoized: each (p, e) builds its tables once.
+`neg` and `inv`: a * b = g^(log a + log b) and 1/a = g^(q - 1 - log a).  The
+lookups take no branch on a zero operand: log 0 = 2(q - 1), and exp, whose
+entries 0 to 2(q - 1) - 1 hold g^i, is padded with zeros to 4(q - 1) + 1
+entries, so any index that counts log 0 reads 0.  For p = 2, `add` is XOR
+and `neg` the identity.  Odd p also keeps Zech logarithms log(1 + g^n), so
+a + b = g^(log a + zech(log b - log a)) and -a = g^(log a + (q - 1)/2); the
+Zech table is read at log b - log a + 2(q - 1), and its regions give b when
+a = 0, a when b = 0, and the zero padding when a + b = 0.  `inv` keeps its
+GaloisError on 0.  The tables take O(q) memory and O(q) multiplies to build,
+so larger fields, up to q = 2^62, keep the methods of `FiniteField`.
+`make_field` is memoized: each (p, e) builds its tables once.
 
 Those methods are table-free (modulo p; XOR or digitwise addition,
 multiply-and-reduce and extended Euclid over GF(p)[x]): they build the tables,
@@ -164,11 +169,13 @@ class FiniteField:
     p: int
     e: int
     irreducible: tuple[int, ...] | None = field(default=None)
+    # p^e, stored once by __post_init__.
+    q: int = field(init=False, compare=False, repr=False)
     # Set only by `make_field`: (exp, log) of a primitive element g, and for odd
-    # p the Zech logarithms zech[n] = log(1 + g^n), None where 1 + g^n = 0.
+    # p the Zech table; their layout is in the module docstring.
     _log_exp: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, init=False, compare=False, repr=False)
-    _zech: tuple[int | None, ...] | None = field(
+    _zech: tuple[int, ...] | None = field(
         default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -176,10 +183,7 @@ class FiniteField:
         if not is_prime(p) or e < 1 or (f is None) != (e == 1) or f is not None and (
                 len(f) != e + 1 or f[-1] != 1 or any(c not in range(p) for c in f)):
             raise GaloisError(f"p = {p}, e = {e}, modulus {f} do not define GF({p}^{e})")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.e
+        object.__setattr__(self, "q", p**e)
 
     def check(self, a: int) -> int:
         if type(a) is not int or not 0 <= a < self.q:
@@ -288,8 +292,9 @@ _TABLE_MAX_Q = 2**10
 
 
 def _log_exp_tables(F: FiniteField) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """exp[i] = g^i for 0 <= i < 2(q - 1) and log[g^i] = i, for the least
-    primitive element code g; log[0] is an unused 0."""
+    """exp[i] = g^(i mod (q - 1)) for 0 <= i < 2(q - 1), then zeros up to
+    exp[4(q - 1)], and log[g^i] = i with log[0] = 2(q - 1), for the least
+    primitive element code g."""
     n = F.q - 1
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
     # g generates GF(q)* iff g^(n/r) != 1 for every prime r dividing n.
@@ -297,10 +302,27 @@ def _log_exp_tables(F: FiniteField) -> tuple[tuple[int, ...], tuple[int, ...]]:
     exp = [1]
     for _ in range(n - 1):
         exp.append(F.mul(exp[-1], g))
-    log = [0] * F.q
+    log = [2 * n] * F.q
     for i, a in enumerate(exp):
         log[a] = i
-    return tuple(exp * 2), tuple(log)
+    return tuple(exp * 2 + [0] * (2 * n + 1)), tuple(log)
+
+
+def _zech_table(exp: Sequence[int], log: Sequence[int], p: int) -> tuple[int, ...]:
+    """The odd-p addition table, read at log b - log a + 2(q - 1) with the
+    tables of `_log_exp_tables`: entry i < q - 1 is i - 2(q - 1), so
+    a = 0 reads exp[log b] = b; entries q to 3(q - 1) - 1 hold
+    log(1 + g^d) at d + 2(q - 1), which is log 0 = 2(q - 1) when 1 + g^d = 0;
+    the rest are 0, so b = 0 reads exp[log a] = a."""
+    n = len(log) - 1
+    zech = [0] * (4 * n + 1)
+    for i in range(n):
+        zech[i] = i - 2 * n
+    for d in range(1 - n, n):
+        x = exp[d % n]
+        # 1 + x differs from x only in digit 0.
+        zech[d + 2 * n] = log[x - x % p + (x + 1) % p]
+    return tuple(zech)
 
 
 @functools.cache
@@ -329,7 +351,7 @@ def make_field(p: int, e: int = 1) -> FiniteField:
     n = F.q - 1
 
     def mul(a: int, b: int) -> int:
-        return exp[log[a] + log[b]] if a and b else 0
+        return exp[log[a] + log[b]]
 
     def inv(a: int) -> int:
         if a == 0:
@@ -339,21 +361,17 @@ def make_field(p: int, e: int = 1) -> FiniteField:
     if p == 2:
         add, neg = operator.xor, operator.pos
     else:
-        # 1 + x differs from x only in digit 0.
-        zech = tuple(log[s] if (s := x - x % p + (x + 1) % p) else None for x in exp[:n])
+        zech = _zech_table(exp, log, p)
+        # log b + 2(q - 1): the Zech table's read index without a third add.
+        zlog = tuple(x + 2 * n for x in log)
         half = n // 2  # -1 = g^((q-1)/2)
 
         def add(a: int, b: int) -> int:
-            if not (a and b):
-                return a or b
-            # a + b = a * (1 + b/a) = g^(log a + zech[log b - log a]); a negative
-            # index reads the exponent difference mod q - 1, the table's length.
             la = log[a]
-            z = zech[log[b] - la]
-            return 0 if z is None else exp[la + z]
+            return exp[la + zech[zlog[b] - la]]
 
         def neg(a: int) -> int:
-            return exp[log[a] + half] if a else 0
+            return exp[log[a] + half]
 
         object.__setattr__(F, "_zech", zech)
     object.__setattr__(F, "_log_exp", (exp, log))

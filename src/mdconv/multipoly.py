@@ -5,11 +5,13 @@ nonzero field element codes.  `Polynomial` and `PolyMatrix` are frozen
 dataclasses, and the `Polynomial` constructor is the one place that drops
 zero coefficients.  The canonical term order (`sorted_terms`, serialization,
 flattening) is ascending lexicographic on the reversed exponent tuple
-(a_m, ..., a_1), i.e. recursion on the last variable first.
+(a_m, ..., a_1), i.e. recursion on the last variable first; a polynomial
+keeps its terms in that order, sorted once when it is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -59,7 +61,21 @@ class Polynomial:
                 raise ValueError(f"bad exponent vector {alpha} for m={m}")
             if field.check(c) != 0:
                 clean[alpha] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {a: clean[a] for a in sorted(clean, key=term_key)})
+
+    @classmethod
+    def _unchecked(cls, field: FiniteField, m: int, terms: dict) -> "Polynomial":
+        """The polynomial of `terms`, whose exponent vectors have m >= 1
+        nonnegative integer entries, in canonical order, and whose
+        coefficients are element codes of `field`, built without re-checking
+        or sorting them: only for terms the library copied, in order, from
+        objects it validated.  Zero terms are dropped, as the constructor
+        drops them."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "field", field)
+        object.__setattr__(P, "m", m)
+        object.__setattr__(P, "terms", {alpha: c for alpha, c in terms.items() if c})
+        return P
 
     # -- constructors ----------------------------------------------------
 
@@ -87,14 +103,14 @@ class Polynomial:
         """Max total degree of the support; NEG_INF for the zero polynomial."""
         if not self.terms:
             return NEG_INF
-        return max(sum(a) for a in self.terms)
+        return max(map(sum, self.terms))
 
     def weight(self) -> int:
         """Number of nonzero terms."""
         return len(self.terms)
 
     def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
-        return sorted(self.terms.items(), key=lambda t: term_key(t[0]))
+        return list(self.terms.items())
 
     # -- arithmetic ------------------------------------------------------
 
@@ -130,7 +146,7 @@ class Polynomial:
     # -- protocol --------------------------------------------------------
 
     def __hash__(self) -> int:
-        return hash((self.field, self.m, tuple(self.sorted_terms())))
+        return hash((self.field, self.m, tuple(self.terms.items())))
 
     def to_json(self) -> list:
         return [[list(a), c] for a, c in self.sorted_terms()]
@@ -169,6 +185,18 @@ class PolyMatrix:
                     raise GaloisError("matrix entry from a different ring")
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _unchecked(cls, field: FiniteField, m: int,
+                   entries: tuple[tuple[Polynomial, ...], ...]) -> "PolyMatrix":
+        """The matrix of `entries`, a nonempty rectangular tuple of tuples of
+        polynomials over `field` in m variables, built without re-checking
+        them: only for entries the library made from an object it validated."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "field", field)
+        object.__setattr__(M, "m", m)
+        object.__setattr__(M, "entries", entries)
+        return M
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -185,7 +213,14 @@ class PolyMatrix:
 
     def row_degrees(self) -> list:
         """Per-row max entry degree; NEG_INF for zero rows."""
-        return [max((p.total_degree() for p in row), default=NEG_INF) for row in self.entries]
+        return list(self._row_degrees)
+
+    @functools.cached_property
+    def _row_degrees(self) -> tuple:
+        # The matrix is immutable, so a certificate and its flattening share
+        # one pass over the terms.
+        return tuple(max((p.total_degree() for p in row), default=NEG_INF)
+                     for row in self.entries)
 
     def external_degree(self) -> int:
         """Sum of the row degrees, skipping zero rows."""

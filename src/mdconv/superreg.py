@@ -43,6 +43,16 @@ class ConstMatrix:
             raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _unchecked(cls, field: FiniteField, entries: tuple[tuple[int, ...], ...]) -> "ConstMatrix":
+        """The matrix of `entries`, a nonempty rectangular tuple of tuples of
+        element codes of `field`, built without re-checking them: only for
+        entries the library drew or copied from an object it validated."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "field", field)
+        object.__setattr__(A, "entries", entries)
+        return A
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -225,10 +235,11 @@ def random_matrices(
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
 
     def draws() -> Iterator[ConstMatrix]:
-        rng = random.Random(seed)
+        # Row-major draws from randrange(1, q) are element codes by construction.
+        draw, q = random.Random(seed).randrange, F.q
         for _ in range(max_tries):
-            yield ConstMatrix(
-                F, tuple(tuple(rng.randrange(1, F.q) for _ in range(s)) for _ in range(r))
+            yield ConstMatrix._unchecked(
+                F, tuple(tuple(draw(1, q) for _ in range(s)) for _ in range(r))
             )
         raise SearchExhaustedError(
             f"seeded random search gave up: no superregular {r}x{s} matrix over "

@@ -28,8 +28,8 @@ DIST = "tests/test_distance.py"
 SR = "tests/test_superreg.py"
 CLI = "tests/test_cli.py"
 MUTANTS = [
-    ("high codes not negated", "distance.py",
-     "p0, negate=True)", "p0)",
+    ("low codes not negated", "distance.py",
+     "None, negate=True)", "None)",
      (DIST, "split_kernel or weight_zero")),
     ("one-hot column offset shifted by one", "distance.py",
      "self.col.take(high + self.offsets, mode=", "self.col.take(high + self.offsets + self.width, mode=",
@@ -62,8 +62,30 @@ MUTANTS = [
      "for r in range(row + 1, nrows):", "for r in range(row + 1, nrows - 1):",
      (SR, "det_matches_cofactor or scan_report")),
     ("Zech entry off by one", "galois.py",
-     "z = zech[log[b] - la]", "z = zech[log[b] - la - 1]",
+     "zech[zlog[b] - la]", "zech[zlog[b] - la - 1]",
      ("tests/test_galois.py", "zech")),
+    ("log 0 set to 2(q-1) - 1", "galois.py",
+     "log = [2 * n] * F.q", "log = [2 * n - 1] * F.q",
+     ("tests/test_galois.py", "tables_only or tables_match_polynomial_oracle")),
+    ("exp's zero padding one entry short", "galois.py",
+     "[0] * (2 * n + 1)", "[0] * (2 * n)",
+     ("tests/test_galois.py", "tables_only or tables_match_polynomial_oracle")),
+    ("Zech region for a = 0 one entry short", "galois.py",
+     "    for i in range(n):\n        zech[i] = i - 2 * n",
+     "    for i in range(n - 1):\n        zech[i] = i - 2 * n",
+     ("tests/test_galois.py", "tables_only or zech")),
+    ("Zech region for nonzero a, b one entry short", "galois.py",
+     "for d in range(1 - n, n):", "for d in range(2 - n, n):",
+     ("tests/test_galois.py", "tables_match_polynomial_oracle")),
+    ("float64 bound written as <=", "distance.py",
+     ") < 1 << 53 else", ") <= 1 << 53 else",
+     (DIST, "product_dtype")),
+    ("lifted polynomial keeps its zero terms", "multipoly.py",
+     "{alpha: c for alpha, c in terms.items() if c}", "dict(terms)",
+     ("tests/test_codes.py", "library_built")),
+    ("random draws may be 0", "superreg.py",
+     "draw(1, q)", "draw(0, q)",
+     (SR, "draw_row_major")),
     ("odd-p negation by g^((q-1)/2 - 1)", "galois.py",
      "half = n // 2", "half = n // 2 - 1",
      ("tests/test_galois.py", "zech")),

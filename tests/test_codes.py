@@ -188,6 +188,35 @@ def test_flatten_then_lift_is_identity_on_full_support_closure():
 def test_lift_row_count_mismatch():
     with pytest.raises(ValueError):
         phi_lift(ConstMatrix(F5, ((1,), (2,))), 2, [(1, 1)])
+    # A negative block would let later blocks read past the matrix's end.
+    with pytest.raises(ValueError, match="negative block size"):
+        phi_lift(ConstMatrix(F5, ((1,),)), 1, [(2, 0), (-1, 0)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F2, F7, make_field(2, 3), make_field(3, 2), make_field(2, 11)]),
+       st.data())
+def test_library_built_objects_equal_validated_ones(F, data):
+    # Draws, lifts and flattenings skip the public constructors' per-entry
+    # checks; each must equal, and hash like, what those build from its parts.
+    m = data.draw(st.integers(1, 3))
+    plan = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              min_size=1, max_size=3))
+    rows, cols = sum(b * support_count(d, m) for b, d in plan), data.draw(st.integers(1, 4))
+    assume(rows >= 1)
+    for A in itertools.islice(random_matrices(F, rows, cols, data.draw(st.integers(0, 2**32))), 2):
+        V = ConstMatrix(F, A.entries)
+        assert A == V and hash(A) == hash(V)
+    # Zero entries too: a lifted polynomial drops its zero terms.
+    entry = st.integers(0, F.q - 1)
+    S = ConstMatrix(F, [[data.draw(entry) for _ in range(cols)] for _ in range(rows)])
+    G = phi_lift(S, m, plan)
+    V = PolyMatrix(F, m, [[Polynomial(F, m, p.terms) for p in row] for row in G.entries])
+    assert G == V and hash(G) == hash(V)
+    if any(not p.is_zero() for row in G.entries for p in row):
+        flat = phi_flatten(G).matrix
+        V = ConstMatrix(F, flat.entries)
+        assert flat == V and hash(flat) == hash(V)
 
 
 def test_flatten_row_count_matches_support_count():
@@ -794,10 +823,22 @@ def test_witness_weight_never_exceeds_bound():
 # descriptors
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("key, bad", [("m", "2"), ("k", 1.0), ("n", True)])
+@pytest.mark.parametrize("key, bad", [
+    ("m", "2"), ("k", 1.0), ("n", True), ("m", False),
+    # A generator coefficient that is a bool, a float or no element code of
+    # GF(7), and exponent vectors that are negative or of the wrong length.
+    ("generator", [[[[[0, 0], True]]] * 3]), ("generator", [[[[[0, 0], 3.0]]] * 3]),
+    ("generator", [[[[[0, 0], 7]]] * 3]), ("generator", [[[[[0, -1], 3]]] * 3]),
+    ("generator", [[[[[0], 3]]] * 3]),
+])
 def test_code_descriptor_from_json_rejects_non_integers(key, bad):
     code, _ = construct_mds_rate_1n(F7, 2, 3, 1)
-    with pytest.raises(ValueError, match="expected an integer"):
+    [[alpha, c]] = bad[0][0] if key == "generator" else [[[], bad]]
+    if all(type(x) is int for x in [*alpha, c]):
+        match = "is not an element code|bad exponent vector"
+    else:
+        match = "expected an integer"
+    with pytest.raises(ValueError, match=match):
         CodeDescriptor.from_json({**code.to_json(), key: bad})
 
 

@@ -269,6 +269,17 @@ def test_int64_exactness_guard():
         free_distance_estimate(G, 2)
 
 
+def test_product_dtype_bounds():
+    # float64 holds every integer up to 2^53, so a digit sum or a code that
+    # can reach 2^53 runs in int64.
+    assert distance._product_dtype(2**51 - 1, 3, 1) == "float64"  # 4(2^51 - 1) = 2^53 - 4
+    assert distance._product_dtype(2**51, 3, 1) == "int64"  # 4 * 2^51 = 2^53
+    assert distance._product_dtype(1, 2, 53) == "float64"  # q - 1 = 2^53 - 1
+    assert distance._product_dtype(1, 2, 54) == "int64"
+    assert distance._product_dtype(1, 2**31 - 1, 1) == "int64"
+    assert _Enumerator(_column_sum_generator(F7, 8), 0, None).M.dtype == "float64"
+
+
 FIELDS = [make_field(p, e) for p, e in
           [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (3, 3)]]
 
@@ -304,6 +315,17 @@ def test_report_independent_of_workers_and_batch_size(code, stop_below):
     assert (rep.witness_message @ G).weight() == rep.min_weight_found
     if stop_below is not None:
         assert rep.below_bound == (rep.min_weight_found < stop_below)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_codes(), st.one_of(st.none(), st.integers(1, 10)))
+def test_float64_products_match_the_int64_path(code, stop_below):
+    G, cap = code
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(distance, "_product_dtype", lambda dim, p, e: "int64")
+        assert _Enumerator(G, cap, None).M.dtype == "int64"
+        exact = free_distance_estimate(G, cap, stop_below)
+    assert free_distance_estimate(G, cap, stop_below) == exact
 
 
 @settings(max_examples=40, deadline=None)

@@ -190,12 +190,17 @@ def test_tables_only_for_small_extension_fields():
                  (make_field(3, 3), _polynomial_oracle(3, 3))]:
         assert F == O and hash(F) == hash(O)
         assert (repr(F), F.to_json()) == (repr(O), O.to_json())
-    # 1 + g^n = 0 iff g^n = -1, and -1 = g^((q-1)/2) is the one element of
-    # order 2 in the cyclic group GF(q)*.
-    for p, e in [(3, 2), (3, 3), (5, 2), (7, 2), (3, 6), (31, 2)]:
+    # The lookups take no branch on 0, so each zero case is a table read: a
+    # zero operand gives 0 in a product and the other operand in a sum, 0 is
+    # its own negative, and a + (-a) = 0 (the Zech logarithm of -1, the
+    # element g^((q-1)/2) of order 2, is log 0) for every a.
+    for p, e in [(2, 3), (2, 10), (3, 2), (3, 3), (5, 2), (7, 2), (3, 6), (31, 2)]:
         F = make_field(p, e)
-        assert len(F._zech) == F.q - 1
-        assert [n for n, z in enumerate(F._zech) if z is None] == [(F.q - 1) // 2]
+        elements = range(F.q)
+        assert [F.mul(a, 0) for a in elements] == [F.mul(0, a) for a in elements] == [0] * F.q
+        assert [F.add(a, 0) for a in elements] == [F.add(0, a) for a in elements] == list(elements)
+        assert F.neg(0) == 0 and [F.add(a, F.neg(a)) for a in elements] == [0] * F.q
+        assert [F.add(a, a) for a in elements] == [F.mul(a, 2 % p) for a in elements]
     # A table-less odd-p field adds digitwise, and agrees with the tables.
     for p, e in [(3, 3), (5, 2)]:
         F, O = make_field(p, e), _polynomial_oracle(p, e)

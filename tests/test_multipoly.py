@@ -281,13 +281,21 @@ def test_json_round_trip():
 @pytest.mark.parametrize("terms", [
     [[[0, 1], 2.7]], [[[0, 1], "2"]], [[[0, 1], True]],
     [[[1.0, 0], 2]], [[["1", 0], 2]], [[[False, 1], 2]], [[[1.7, 0], 2]],
+    # Integers that are no element code of GF(7), or no exponent vector for m = 2.
+    [[[0, 1], 7]], [[[0, 1], -1]], [[[0, 1], False]], [[[-1, 0], 2]], [[[0], 2]],
+    [[[0, 1, 0], 2]],
 ])
 def test_polynomial_from_json_rejects_non_integers(terms):
-    with pytest.raises(ValueError, match="expected an integer"):
+    [[alpha, c]] = terms
+    if all(type(x) is int for x in [*alpha, c]):
+        match = "is not an element code|bad exponent vector"
+    else:
+        match = "expected an integer"
+    with pytest.raises(ValueError, match=match):
         Polynomial.from_json(terms, F7, 2)
     with pytest.raises(ValueError):
         Polynomial(F7, 2, {tuple(a): c for a, c in terms})
-    with pytest.raises(ValueError, match="expected an integer"):
+    with pytest.raises(ValueError, match=match):
         PolyMatrix.from_json([[terms]], F7, 2)
 
 

@@ -408,9 +408,26 @@ def test_json_round_trip():
     assert ConstMatrix.from_json(A.to_json()) == A
 
 
-@pytest.mark.parametrize("bad", [1.9, 1.0, "2", True])
+@pytest.mark.parametrize("bad", [1.9, 1.0, "2", True, False, 5, -1])
 def test_from_json_rejects_non_integer_entries(bad):
-    with pytest.raises(ValueError, match="expected an integer"):
+    # An integer that is no element code of GF(5) passes the JSON reader and
+    # fails the matrix's own check.
+    match = "is not an element code" if type(bad) is int else "expected an integer"
+    with pytest.raises(ValueError, match=match):
         ConstMatrix.from_json({"field": {"p": 5, "e": 1}, "entries": [[bad, 2], [3, 4]]})
     with pytest.raises(ValueError, match="is not an element code"):
         ConstMatrix(F5, ((bad, 2), (3, 4)))
+    with pytest.raises(ValueError, match="is not an element code"):
+        ConstMatrix(F8, ((1, 2), (3, 8 if type(bad) is int else bad)))
+
+
+@pytest.mark.parametrize("F", [make_field(61), make_field(2, 4)])
+def test_random_matrices_draw_row_major_randrange(F):
+    # The stream behind `--source random`: each matrix is r*s row-major draws
+    # of randrange(1, q) from one random.Random(seed), matrix after matrix.
+    rng = random.Random(2024)
+    expected = [tuple(tuple(rng.randrange(1, F.q) for _ in range(3)) for _ in range(4))
+                for _ in range(6)]
+    drawn = list(itertools.islice(random_matrices(F, 4, 3, seed=2024), 6))
+    assert [A.entries for A in drawn] == expected
+    assert drawn == [ConstMatrix(F, entries) for entries in expected]
