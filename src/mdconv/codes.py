@@ -2,10 +2,12 @@
 constructions for multidimensional convolutional codes.  `certify` scans a
 code's flattening for the one certification rule; a construction scans each
 candidate source, lifts the first that passes and reuses its scan.
+`phi_flatten` and `phi_lift` build through the public, checking constructors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -137,8 +139,10 @@ class MdsCertificate:
     certified_distance: Optional[int] = None
 
     def __post_init__(self):
-        assert self.verdict == NOT_CERTIFIED or self.certified_distance is not None
-        assert self.verdict != CERTIFIED_MDS or all(h.passed for h in self.hypotheses)
+        if self.verdict != NOT_CERTIFIED and self.certified_distance is None:
+            raise ValueError(f"a {self.verdict} certificate needs a certified distance")
+        if self.verdict == CERTIFIED_MDS and not all(h.passed for h in self.hypotheses):
+            raise ValueError("a CERTIFIED_MDS certificate needs every hypothesis passed")
 
     def to_json(self) -> dict:
         return {
@@ -147,6 +151,12 @@ class MdsCertificate:
             "verdict": self.verdict,
             "certified_distance": self.certified_distance,
         }
+
+
+@functools.lru_cache(maxsize=64)
+def _exponents(d: int, m: int) -> tuple[ExponentVector, ...]:
+    """`monomials_upto(d, m)`, kept: lifts and flattenings ask for the same few."""
+    return tuple(monomials_upto(d, m))
 
 
 def phi_flatten(G: PolyMatrix) -> FlattenedMatrix:
@@ -162,11 +172,10 @@ def phi_flatten(G: PolyMatrix) -> FlattenedMatrix:
         terms = [p.terms for p in row]
         # A zero row carries no support; emit its single degree-0 slice
         # (all zeros), which correctly fails any superregularity check.
-        for alpha in monomials_upto(max(d, 0), G.m):
+        for alpha in _exponents(max(d, 0), G.m):
             rows.append(tuple([t.get(alpha, 0) for t in terms]))
             index.append((r + 1, alpha))
-    # G's polynomials checked their coefficients, so the rows need no check.
-    return FlattenedMatrix(ConstMatrix._unchecked(G.field, tuple(rows)), tuple(index))
+    return FlattenedMatrix(ConstMatrix(G.field, rows), tuple(index))
 
 
 def phi_lift(
@@ -183,20 +192,17 @@ def phi_lift(
     expected = sum(b * support_count(d, m) for b, d in row_plan)
     if expected != S.rows:
         raise ValueError(f"row plan needs {expected} rows, matrix has {S.rows}")
-    # S checked its entries and monomials_upto(d, m) its exponent vectors (and
-    # m >= 1), so neither the polynomials nor the matrix need a check.
-    F = S.field
     out_rows: list[tuple[Polynomial, ...]] = []
     pos = 0
     for block_rows, d in row_plan:
-        exps = monomials_upto(d, m)
+        exps = _exponents(d, m)
         for _ in range(block_rows):
             block = S.entries[pos:pos + len(exps)]
             out_rows.append(tuple(
-                Polynomial._unchecked(F, m, dict(zip(exps, col))) for col in zip(*block)
+                Polynomial(S.field, m, dict(zip(exps, col))) for col in zip(*block)
             ))
             pos += len(exps)
-    return PolyMatrix._unchecked(F, m, tuple(out_rows))
+    return PolyMatrix(S.field, m, out_rows)
 
 
 # ---------------------------------------------------------------------------

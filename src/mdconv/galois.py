@@ -25,10 +25,10 @@ Those methods are table-free (modulo p; XOR or digitwise addition,
 multiply-and-reduce and extended Euclid over GF(p)[x]): they build the tables,
 serve untabled fields, and are the oracle the lookups are tested against.
 
-The canonical irreducible is selected with Ben-Or's test ("Probabilistic
-algorithms in finite fields", FOCS 1981): f of degree e is irreducible iff
-gcd(f, x^(p^i) - x mod f) = 1 for every 1 <= i <= e/2, which takes
-milliseconds even for GF(2^61).
+Ben-Or's test ("Probabilistic algorithms in finite fields", FOCS 1981)
+selects the canonical irreducible, and `FiniteField` refuses a reducible
+modulus with it: f of degree e is irreducible iff gcd(f, x^(p^i) - x mod f)
+= 1 for every 1 <= i <= e/2, which takes milliseconds even for GF(2^61).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class GaloisError(ValueError):
@@ -137,16 +137,30 @@ def _monic_polys(p: int, deg: int) -> Iterator[tuple[int, ...]]:
             yield tuple(to_digits(code, p, deg)) + (1,)
 
 
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    """a * b mod the monic f over GF(p), all coefficient lists ascending."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+    return _poly_divmod(prod, f, p)[1]
+
+
+def _is_irreducible(f: Sequence[int], p: int) -> bool:
     """Ben-Or's test for a monic f: irreducible iff gcd(f, x^(p^i) - x) = 1
     for every 1 <= i <= deg f / 2, with x^(p^i) reduced mod f."""
-    deg = len(coeffs) - 1
-    # The ring GF(p)[x]/(f); its multiply-and-reduce needs only f monic.
-    ring = FiniteField(p, deg, coeffs)
-    h = p  # the code of x
-    for _ in range(deg // 2):
-        h = ring.pow(h, p)
-        r0, r1 = coeffs, _trim(to_digits(ring.sub(h, p), p, deg))
+    h = [0, 1]  # x
+    for _ in range((len(f) - 1) // 2):
+        # h^p, left to right over the bits of p after the leading one.
+        base = h
+        for bit in bin(p)[3:]:
+            h = _mulmod(h, h, f, p)
+            if bit == "1":
+                h = _mulmod(h, base, f, p)
+        r1 = h + [0] * (2 - len(h))
+        r1[1] = (r1[1] - 1) % p  # h - x
+        r0, r1 = f, _trim(r1)
         while r1:
             r0, r1 = r1, _poly_divmod(r0, r1, p)[1]
         if len(r0) > 1:
@@ -161,10 +175,9 @@ def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FiniteField:
     """GF(p^e) as GF(p)[x] modulo `irreducible`, monic of degree e, given iff
-    e > 1; immutable.  The methods are table-free: a tabled field from
-    `make_field` carries its own lookup add, mul, neg and inv in their place.
-    A reducible modulus is meant only for Ben-Or's candidate rings in
-    `_is_irreducible`, where `inv` of a non-unit raises GaloisError."""
+    e > 1; immutable.  A modulus that is not a tuple or not irreducible is
+    refused.  The methods are table-free: a tabled field from `make_field`
+    carries its own lookup add, mul, neg and inv in their place."""
 
     p: int
     e: int
@@ -181,7 +194,8 @@ class FiniteField:
     def __post_init__(self):
         p, e, f = self.p, self.e, self.irreducible
         if not is_prime(p) or e < 1 or (f is None) != (e == 1) or f is not None and (
-                len(f) != e + 1 or f[-1] != 1 or any(c not in range(p) for c in f)):
+                type(f) is not tuple or len(f) != e + 1 or f[-1] != 1 or not all(
+                    type(c) is int and 0 <= c < p for c in f) or not _is_irreducible(f, p)):
             raise GaloisError(f"p = {p}, e = {e}, modulus {f} do not define GF({p}^{e})")
         object.__setattr__(self, "q", p**e)
 
@@ -189,6 +203,14 @@ class FiniteField:
         if type(a) is not int or not 0 <= a < self.q:
             raise GaloisError(f"{a!r} is not an element code of GF({self.q})")
         return a
+
+    def check_all(self, codes: Iterable) -> tuple[int, ...]:
+        """`codes` as a tuple, checked in one pass; `check`'s error on the first bad one."""
+        codes, q = tuple(codes), self.q
+        for a in codes:
+            if type(a) is not int or not 0 <= a < q:
+                self.check(a)
+        return codes
 
     # -- arithmetic ------------------------------------------------------
 
@@ -216,13 +238,7 @@ class FiniteField:
         if self.e == 1:
             return (a * b) % self.p
         p, e = self.p, self.e
-        da, db = to_digits(a, p, e), to_digits(b, p, e)
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        return from_digits(_poly_divmod(prod, self.irreducible, p)[1], p)
+        return from_digits(_mulmod(to_digits(a, p, e), to_digits(b, p, e), self.irreducible, p), p)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -231,7 +247,7 @@ class FiniteField:
         if self.e == 1:
             return pow(a, -1, p)
         # Extended Euclid on (f, a): s_i * a = r_i (mod f) throughout.  The
-        # last nonzero remainder is a constant because f is irreducible.
+        # last remainder is a nonzero constant because f is irreducible.
         r0, r1 = self.irreducible, _trim(to_digits(a, p, self.e))
         s0, s1 = [], [1]
         while len(r1) > 1:
@@ -242,8 +258,6 @@ class FiniteField:
                 for j, y in enumerate(s1):
                     s[i + j] = (s[i + j] - x * y) % p
             r0, r1, s0, s1 = r1, rem, s1, s
-        if not r1:
-            raise GaloisError(f"{a} is not a unit modulo {self.irreducible}")
         c = pow(r1[0], -1, p)
         return from_digits([c * x % p for x in s1], p)
 

@@ -2,11 +2,12 @@
 
 A polynomial in m variables maps exponent tuples (a_1, ..., a_m) to
 nonzero field element codes.  `Polynomial` and `PolyMatrix` are frozen
-dataclasses, and the `Polynomial` constructor is the one place that drops
-zero coefficients.  The canonical term order (`sorted_terms`, serialization,
-flattening) is ascending lexicographic on the reversed exponent tuple
-(a_m, ..., a_1), i.e. recursion on the last variable first; a polynomial
-keeps its terms in that order, sorted once when it is built.
+dataclasses, each built only by its validating constructor, and the
+`Polynomial` constructor is the one place that drops zero coefficients.
+The canonical term order (`terms`, serialization, flattening) is ascending
+lexicographic on the reversed exponent tuple (a_m, ..., a_1), i.e.
+recursion on the last variable first; a polynomial keeps its terms in that
+order.  Canonical terms, as a lift's are, cost the constructor one pass.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 from .galois import FiniteField, GaloisError, json_int, json_list
@@ -24,10 +26,8 @@ NEG_INF = float("-inf")
 
 ExponentVector = tuple[int, ...]
 
-
-def term_key(alpha: ExponentVector) -> ExponentVector:
-    """Canonical sort key: lexicographic on the reversed exponent tuple."""
-    return tuple(reversed(alpha))
+#: Canonical sort key: the reversed exponent tuple, compared lexicographically.
+term_key = itemgetter(slice(None, None, -1))
 
 
 def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
@@ -39,6 +39,21 @@ def monomials_upto(degree: int, m: int) -> list[ExponentVector]:
     # the bar positions run through lex order.
     return [tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))[::-1]
             for bars in combinations(range(degree + m), m)]
+
+
+def _canonical(terms: dict, m: int, q: int) -> bool:
+    """One pass: are the keys tuples of m ints >= 0 in canonical order, values ints in [1, q)?"""
+    prev = ()
+    for alpha, c in terms.items():
+        if type(alpha) is not tuple or len(alpha) != m or type(c) is not int or not 0 < c < q:
+            return False
+        for x in alpha:
+            if type(x) is not int or x < 0:
+                return False
+        if (key := term_key(alpha)) <= prev:
+            return False
+        prev = key
+    return True
 
 
 @dataclass(frozen=True)
@@ -54,28 +69,20 @@ class Polynomial:
         m, field = self.m, self.field
         if m < 1:
             raise ValueError(f"number of variables must be >= 1, got {m}")
-        clean = {}
-        for alpha, c in (self.terms or {}).items():
-            alpha = tuple(map(json_int, alpha))
-            if len(alpha) != m or min(alpha) < 0:
-                raise ValueError(f"bad exponent vector {alpha} for m={m}")
-            if field.check(c) != 0:
-                clean[alpha] = c
-        object.__setattr__(self, "terms", {a: clean[a] for a in sorted(clean, key=term_key)})
-
-    @classmethod
-    def _unchecked(cls, field: FiniteField, m: int, terms: dict) -> "Polynomial":
-        """The polynomial of `terms`, whose exponent vectors have m >= 1
-        nonnegative integer entries, in canonical order, and whose
-        coefficients are element codes of `field`, built without re-checking
-        or sorting them: only for terms the library copied, in order, from
-        objects it validated.  Zero terms are dropped, as the constructor
-        drops them."""
-        P = object.__new__(cls)
-        object.__setattr__(P, "field", field)
-        object.__setattr__(P, "m", m)
-        object.__setattr__(P, "terms", {alpha: c for alpha, c in terms.items() if c})
-        return P
+        terms = self.terms or {}
+        if _canonical(terms, m, field.q):
+            terms = dict(terms)
+        else:
+            # Term by term: the first bad exponent vector or coefficient wins.
+            clean = {}
+            for alpha, c in terms.items():
+                alpha = tuple(map(json_int, alpha))
+                if len(alpha) != m or min(alpha) < 0:
+                    raise ValueError(f"bad exponent vector {alpha} for m={m}")
+                if field.check(c) != 0:
+                    clean[alpha] = c
+            terms = {a: clean[a] for a in sorted(clean, key=term_key)}
+        object.__setattr__(self, "terms", terms)
 
     # -- constructors ----------------------------------------------------
 
@@ -108,9 +115,6 @@ class Polynomial:
     def weight(self) -> int:
         """Number of nonzero terms."""
         return len(self.terms)
-
-    def sorted_terms(self) -> list[tuple[ExponentVector, int]]:
-        return list(self.terms.items())
 
     # -- arithmetic ------------------------------------------------------
 
@@ -149,7 +153,7 @@ class Polynomial:
         return hash((self.field, self.m, tuple(self.terms.items())))
 
     def to_json(self) -> list:
-        return [[list(a), c] for a, c in self.sorted_terms()]
+        return [[list(a), c] for a, c in self.terms.items()]
 
     @staticmethod
     def from_json(obj: list, field: FiniteField, m: int) -> "Polynomial":
@@ -174,28 +178,16 @@ class PolyMatrix:
 
     def __post_init__(self):
         field, m = self.field, self.m
-        entries = tuple(tuple(row) for row in self.entries)
+        entries = tuple(map(tuple, self.entries))
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
         for row in entries:
             if len(row) != len(entries[0]):
                 raise ValueError("ragged matrix")
             for p in row:
-                if p.field != field or p.m != m:
+                if p.field is not field and p.field != field or p.m != m:
                     raise GaloisError("matrix entry from a different ring")
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _unchecked(cls, field: FiniteField, m: int,
-                   entries: tuple[tuple[Polynomial, ...], ...]) -> "PolyMatrix":
-        """The matrix of `entries`, a nonempty rectangular tuple of tuples of
-        polynomials over `field` in m variables, built without re-checking
-        them: only for entries the library made from an object it validated."""
-        M = object.__new__(cls)
-        object.__setattr__(M, "field", field)
-        object.__setattr__(M, "m", m)
-        object.__setattr__(M, "entries", entries)
-        return M
 
     @property
     def rows(self) -> int:

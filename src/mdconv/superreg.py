@@ -2,7 +2,7 @@
 (`_eliminator`) behind the determinant, the nullspace and the minor scan's
 minors of size 4 and up; superregularity testing, whose minors up to 3x3
 need no inverse; Cauchy matrices; and a seeded stream of random candidate
-matrices.
+matrices, each built, like any `ConstMatrix`, by the checking constructor.
 """
 
 from __future__ import annotations
@@ -36,22 +36,12 @@ class ConstMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        entries = tuple(tuple(self.field.check(x) for x in row) for row in self.entries)
+        entries = tuple(map(self.field.check_all, self.entries))
         if not entries or not entries[0]:
             raise ValueError("matrix must be nonempty")
         if any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged matrix")
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _unchecked(cls, field: FiniteField, entries: tuple[tuple[int, ...], ...]) -> "ConstMatrix":
-        """The matrix of `entries`, a nonempty rectangular tuple of tuples of
-        element codes of `field`, built without re-checking them: only for
-        entries the library drew or copied from an object it validated."""
-        A = object.__new__(cls)
-        object.__setattr__(A, "field", field)
-        object.__setattr__(A, "entries", entries)
-        return A
 
     @property
     def rows(self) -> int:
@@ -209,7 +199,7 @@ def cauchy_matrix(F: FiniteField, xs: Sequence[int], ys: Sequence[int]) -> Const
     Every minor is a Cauchy determinant and hence nonzero, but callers
     certifying codes re-verify with `is_superregular` rather than assume it.
     """
-    xs, ys = [F.check(x) for x in xs], [F.check(y) for y in ys]
+    xs, ys = F.check_all(xs), F.check_all(ys)
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise GaloisError("Cauchy parameters must be distinct")
     if set(xs) & set(ys):
@@ -235,12 +225,9 @@ def random_matrices(
         raise ValueError(f"max_tries must be at least 1, got {max_tries}")
 
     def draws() -> Iterator[ConstMatrix]:
-        # Row-major draws from randrange(1, q) are element codes by construction.
         draw, q = random.Random(seed).randrange, F.q
         for _ in range(max_tries):
-            yield ConstMatrix._unchecked(
-                F, tuple(tuple(draw(1, q) for _ in range(s)) for _ in range(r))
-            )
+            yield ConstMatrix(F, tuple(tuple(draw(1, q) for _ in range(s)) for _ in range(r)))
         raise SearchExhaustedError(
             f"seeded random search gave up: no superregular {r}x{s} matrix over "
             f"GF({F.q}) in {max_tries} tries; this does not show that none exists"

@@ -10,10 +10,10 @@ After them come, group by group, the cases of `BEHAVIOURS` not already
 listed: refused parameters, Ball's bound, the search budget and its give-up,
 pipelines that read back what `construct -o` wrote, codes that fail a
 hypothesis, malformed JSON documents, every abbreviation of `--message` with
-a negative number, README's `bound` line, and Ball's bound over extension
-fields.  Argparse's own usage errors
-are not cases: their text differs across Python versions, and they leave
-`main` as a `SystemExit`.
+a negative number, README's `bound` line, Ball's bound over extension
+fields, and a matrix whose bad entry code must win over its ragged row.
+Argparse's own usage errors are not cases: their text differs across
+Python versions, and they leave `main` as a `SystemExit`.
 
 Both runners return `(exit code, stdout, stderr)`: `in_process` calls
 `cli.main` with the streams redirected, and `run_subprocess` starts a
@@ -109,6 +109,8 @@ CLI_INPUTS = {
     # An empty object was once read as the zero polynomial.
     "object_poly.json": {**C7, "generator": [[{}, []]]},
     "scalar_field.json": {**C7, "field": 7},
+    # Its 9 is no element code of GF(7), and its second row is short.
+    "bad_code_ragged.json": {"field": {"p": 7}, "entries": [[1, 2], [9]]},
 }
 
 # `bound`, then one or more commands per subcommand that prints an object.
@@ -245,6 +247,8 @@ BEHAVIOURS = {name: [shlex.split(line) for line in group] for name, group in {
     "random_source_beyond_ball_bound_over_extension_field_exit_3": [
         "construct --p 2 --e 3 --m 1 --n 8 --delta 1 --source random",
         "construct --p 3 --e 2 --m 2 --n 8 --delta 1 --source random"],
+    # Every entry is checked before the shape: the bad code wins.
+    "element_code_refused_before_ragged_row_exit_2": ["check-sr -i bad_code_ragged.json"],
 }.items()}
 CASES += [argv for group in BEHAVIOURS.values() for argv in group if argv not in CASES]
 

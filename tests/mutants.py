@@ -81,8 +81,8 @@ MUTANTS = [
      ") < 1 << 53 else", ") <= 1 << 53 else",
      (DIST, "product_dtype")),
     ("lifted polynomial keeps its zero terms", "multipoly.py",
-     "{alpha: c for alpha, c in terms.items() if c}", "dict(terms)",
-     ("tests/test_codes.py", "library_built")),
+     "or not 0 < c < q:", "or not 0 <= c < q:",
+     ("tests/test_codes.py", "lift_then_flatten")),
     ("random draws may be 0", "superreg.py",
      "draw(1, q)", "draw(0, q)",
      (SR, "draw_row_major")),
@@ -222,9 +222,37 @@ MUTANTS = [
     ("composite characteristic accepted", "galois.py",
      "if not is_prime(p) or e < 1", "if e < 1",
      ("tests/test_galois.py", "non_fields")),
-    ("non-unit inverse unchecked", "galois.py",
-     "        if not r1:\n            raise GaloisError(", "        if False:\n            raise GaloisError(",
-     ("tests/test_galois.py", "ben_or")),
+    ("reducible modulus accepted", "galois.py",
+     " or not _is_irreducible(f, p)):", "):",
+     ("tests/test_galois.py", "non_fields")),
+    ("list modulus accepted", "galois.py",
+     "type(f) is not tuple or len(f)", "len(f)",
+     ("tests/test_galois.py", "non_fields")),
+    ("one-pass code check admits q", "galois.py",
+     "or not 0 <= a < q:", "or not 0 <= a <= q:",
+     (SR, "refuses_like or before_the_shape or from_json_rejects")),
+    ("one-pass exponent sign check dropped", "multipoly.py",
+     "if type(x) is not int or x < 0:", "if type(x) is not int:",
+     ("tests/test_multipoly.py", "refuses_like or rejects_non_integers")),
+    ("one-pass term order check dropped", "multipoly.py",
+     "(key := term_key(alpha)) <= prev", "(key := term_key(alpha)) is None",
+     ("tests/test_multipoly.py", "refuses_like")),
+    ("entries checked after the shape", "superreg.py",
+     "        entries = tuple(map(self.field.check_all, self.entries))\n"
+     "        if not entries or not entries[0]:\n"
+     "            raise ValueError(\"matrix must be nonempty\")\n"
+     "        if any(len(row) != len(entries[0]) for row in entries):\n"
+     "            raise ValueError(\"ragged matrix\")\n",
+     "        entries = tuple(map(tuple, self.entries))\n"
+     "        if not entries or not entries[0]:\n"
+     "            raise ValueError(\"matrix must be nonempty\")\n"
+     "        if any(len(row) != len(entries[0]) for row in entries):\n"
+     "            raise ValueError(\"ragged matrix\")\n"
+     "        entries = tuple(map(self.field.check_all, entries))\n",
+     (SR, "refuses_like or before_the_shape")),
+    ("canonical sort dropped", "multipoly.py",
+     "{a: clean[a] for a in sorted(clean, key=term_key)}", "dict(clean)",
+     ("tests/test_multipoly.py", "refuses_like")),
 ]
 
 

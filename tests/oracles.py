@@ -4,14 +4,23 @@ The determinant is the Leibniz sum over permutations, so it shares no code
 with `multipoly._det_cofactor` (cofactor expansion) or `superreg._eliminator`
 (elimination); the minors, internal degree, unimodularity and the rank of
 a constant matrix rest on it, and so does `scan_report`, the minor scan's
-report recomputed minor by minor.  `vec_mat` and `random_poly` are the
-tests' shared ways to multiply out a row vector and to draw a polynomial.
+report recomputed minor by minor.  `vec_mat`, `random_poly` and
+`element_or_not` are the tests' shared ways to multiply out a row vector, to
+draw a polynomial and to draw what may or may not be an element code.
+
+The `ref_*` validators restate, item by item, what `ConstMatrix`,
+`Polynomial`, `PolyMatrix` and their `from_json` accept and in which order
+they refuse the rest: each returns what the constructor keeps, or raises the
+error it must raise.  `outcome` puts either result in one comparable value.
 """
 
 from functools import reduce
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
+from hypothesis import strategies as st
+
+from mdconv.galois import FiniteField, GaloisError
 from mdconv.multipoly import Polynomial, PolyMatrix, monomials_upto
 from mdconv.superreg import ConstMatrix, SuperregularityReport
 
@@ -114,3 +123,101 @@ def scan_report(A: ConstMatrix) -> SuperregularityReport:
                 if not const_det(submatrix(A, rs, cs)):
                     return SuperregularityReport(False, checked, (rs, cs, 0))
     return SuperregularityReport(True, checked)
+
+
+def element_or_not(q: int):
+    """Element codes of GF(q), and what is none: bools, floats, negative
+    codes and codes >= q."""
+    return (st.integers(0, q - 1) | st.integers(-2, q + 1) | st.booleans()
+            | st.floats(-1, q, allow_nan=False))
+
+
+def outcome(build):
+    """("ok", build()), or the type and message of what `build()` raises."""
+    try:
+        return "ok", build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _code(F, a):
+    if type(a) is not int or not 0 <= a < F.q:
+        raise GaloisError(f"{a!r} is not an element code of GF({F.q})")
+    return a
+
+
+def _json_int(x):
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _json_list(x):
+    if type(x) is not list:
+        raise ValueError(f"expected a list, got {x!r}")
+    return x
+
+
+def ref_const_matrix(F, entries) -> tuple:
+    """Each entry in row-major order, then emptiness, then raggedness."""
+    rows = tuple(tuple(_code(F, x) for x in row) for row in entries)
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be nonempty")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    return rows
+
+
+def ref_const_matrix_json(obj) -> tuple:
+    """The field, then each row is a list of integers, then the matrix."""
+    F = FiniteField.from_json(obj["field"])
+    return ref_const_matrix(F, [[_json_int(x) for x in _json_list(row)]
+                                for row in _json_list(obj["entries"])])
+
+
+def ref_polynomial(F, m, terms) -> list:
+    """m, then term by term its exponent vector and its coefficient; the
+    nonzero terms in canonical order."""
+    if m < 1:
+        raise ValueError(f"number of variables must be >= 1, got {m}")
+    clean = {}
+    for alpha, c in (terms or {}).items():
+        alpha = tuple(map(_json_int, alpha))
+        if len(alpha) != m or min(alpha) < 0:
+            raise ValueError(f"bad exponent vector {alpha} for m={m}")
+        if _code(F, c):
+            clean[alpha] = c
+    return sorted(clean.items(), key=lambda term: term[0][::-1])
+
+
+def ref_polynomial_json(obj, F, m) -> list:
+    """Each term's shape, exponents and coefficient, then the polynomial."""
+    terms = {}
+    for term in _json_list(obj):
+        if type(term) is not list or len(term) != 2:
+            raise ValueError(f"polynomial term must be [exponents, coefficient], got {term!r}")
+        alpha = tuple(map(_json_int, _json_list(term[0])))
+        if alpha in terms:
+            raise ValueError(f"repeated exponent vector {list(alpha)} in polynomial")
+        terms[alpha] = _json_int(term[1])
+    return ref_polynomial(F, m, terms)
+
+
+def ref_poly_matrix(F, m, entries) -> tuple:
+    """Emptiness, then row by row its length and each entry's ring."""
+    rows = tuple(tuple(row) for row in entries)
+    if not rows or not rows[0]:
+        raise ValueError("matrix must be nonempty")
+    for row in rows:
+        if len(row) != len(rows[0]):
+            raise ValueError("ragged matrix")
+        for p in row:
+            if p.field != F or p.m != m:
+                raise GaloisError("matrix entry from a different ring")
+    return rows
+
+
+def ref_poly_matrix_json(obj, F, m) -> tuple:
+    """Every polynomial in row-major order, then the matrix."""
+    return ref_poly_matrix(F, m, [[Polynomial(F, m, dict(ref_polynomial_json(p, F, m)))
+                                   for p in _json_list(row)] for row in _json_list(obj)])

@@ -30,6 +30,7 @@ from mdconv.codes import (
     ConstructionError,
     FieldTooSmallError,
     Hypothesis,
+    MdsCertificate,
     certify,
     construct_mds_rate_1n,
     construct_mds_staircase,
@@ -158,7 +159,7 @@ def _seed_37_lift_cases():
 
 @st.composite
 def descending_lift_cases(draw):
-    F = draw(st.sampled_from([F2, F5, F7]))
+    F = draw(st.sampled_from([F2, F5, F7, make_field(2, 3), make_field(3, 2)]))
     m = draw(st.integers(1, 2))
     profile = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)), reverse=True)
     rows = sum(support_count(d, m) for d in profile)
@@ -174,6 +175,8 @@ def descending_lift_cases(draw):
 def test_lift_then_flatten_is_identity(case):
     S, m, plan = case
     G = phi_lift(S, m, plan)
+    # A lift drops the zero entries of S: no polynomial keeps a zero term.
+    assert all(c for row in G.entries for p in row for c in p.terms.values())
     # The round trip only holds when each row attains its planned degree.
     assume(list(G.row_degrees()) == [d for b, d in plan for _ in range(b)])
     assert phi_flatten(G).matrix == S
@@ -197,8 +200,8 @@ def test_lift_row_count_mismatch():
 @given(st.sampled_from([F2, F7, make_field(2, 3), make_field(3, 2), make_field(2, 11)]),
        st.data())
 def test_library_built_objects_equal_validated_ones(F, data):
-    # Draws, lifts and flattenings skip the public constructors' per-entry
-    # checks; each must equal, and hash like, what those build from its parts.
+    # Draws, lifts and flattenings must each equal, and hash like, what the
+    # public constructors build from the same parts.
     m = data.draw(st.integers(1, 3))
     plan = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
                               min_size=1, max_size=3))
@@ -574,6 +577,18 @@ def test_certify_single_row_length_failure():
     assert cert.verdict == NOT_CERTIFIED
     failed = next(h for h in cert.hypotheses if not h.passed)
     assert failed.name == "length_at_least_degree_plus_one"
+
+
+@pytest.mark.parametrize("hypotheses, distance, error", [
+    ((Hypothesis("length_condition", False, "n = 2, required 3"),), 4, "every hypothesis passed"),
+    ((Hypothesis("single_row_generator", True, "k = 1, row degree 1"),), None,
+     "needs a certified distance"),
+])
+def test_certificate_invariants_raise_value_error(hypotheses, distance, error):
+    # Raised, not asserted, so that `python -O` keeps them.
+    with pytest.raises(ValueError, match=error):
+        MdsCertificate(RATE_1N, hypotheses, CERTIFIED_MDS, distance)
+    assert MdsCertificate(RATE_1N, hypotheses, NOT_CERTIFIED).certified_distance is None
 
 
 # k = 2 > n = 1 with the staircase profile [1, 0]: the length condition

@@ -52,20 +52,19 @@ def test_make_field_rejects_bad_input():
     (2, 2, (1, 0, 2)),        # not monic
     (2, 2, (1, 2, 1)),        # a coefficient outside range(p)
     (3, 2, (-2, 0, 1)),
+    # Reducible moduli, which would make rings with zero divisors.
+    (2, 2, (1, 0, 1)),        # x^2 + 1 = (x + 1)^2, where 3 * 3 = 0
+    (3, 2, (2, 0, 1)),        # x^2 + 2 = (x + 1)(x + 2)
+    (2, 4, (1, 0, 1, 0, 1)),  # (x^2 + x + 1)^2, which has no root
+    # x^2 + x + 1 with a float or a bool coefficient, and as a list, which
+    # could not be hashed.
+    (2, 2, (1.0, 1, 1)),
+    (2, 2, (True, 1, 1)),
+    (2, 2, [1, 1, 1]),
 ])
 def test_finite_field_rejects_non_fields(p, e, modulus):
     with pytest.raises(GaloisError, match="do not define"):
         FiniteField(p, e, modulus)
-
-
-def test_ben_or_ring_builds_and_refuses_non_unit_inverse():
-    # GF(2)[x]/(x^2 + 1) is the ring `_is_irreducible` builds for x^2 + 1 =
-    # (x + 1)^2; x + 1 (code 3) is a zero divisor there, and x (code 2) a unit.
-    ring = FiniteField(2, 2, (1, 0, 1))
-    assert not _is_irreducible((1, 0, 1), 2)
-    assert ring.mul(2, ring.inv(2)) == 1
-    with pytest.raises(GaloisError, match="not a unit"):
-        ring.inv(3)
 
 
 def _trial_division_is_prime(n):

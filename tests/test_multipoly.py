@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdconv.galois import GaloisError, make_field
+from mdconv.galois import FiniteField, GaloisError, make_field
 from mdconv.multipoly import (
     NEG_INF,
     Polynomial,
@@ -16,7 +16,19 @@ from mdconv.multipoly import (
 )
 from mdconv.codes import support_count
 from mdconv.superreg import ConstMatrix, det
-from oracles import full_size_minors, identity, internal_degree, is_unimodular, random_poly
+from oracles import (
+    element_or_not,
+    full_size_minors,
+    identity,
+    internal_degree,
+    is_unimodular,
+    outcome,
+    random_poly,
+    ref_poly_matrix,
+    ref_poly_matrix_json,
+    ref_polynomial,
+    ref_polynomial_json,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -432,3 +444,65 @@ def test_values_are_immutable_and_hash_by_value(data):
     for obj, name in [(p, "terms"), (p, "m"), (A, "entries"), (A, "field"), (A, "rows")]:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+
+
+# Input for the per-item reference properties: valid terms in and out of
+# canonical order, and malformed ones, whose exponents are bools, floats,
+# negative or nested lists, whose vectors have the wrong length, and whose
+# coefficients are bools, floats, negative or >= q.
+EXPONENT = st.integers(0, 2) | st.integers(-2, -1) | st.booleans() | st.floats(0, 2)
+
+
+def exponent_vector(m):
+    return st.lists(st.integers(0, 2), min_size=m, max_size=m).map(tuple) | st.lists(
+        EXPONENT | st.tuples(st.integers(0, 1)), max_size=m + 1).map(tuple) | st.integers(0, 2)
+
+
+def valid_terms(F, m):
+    """Valid terms in any order, zero coefficients included."""
+    return st.dictionaries(st.lists(st.integers(0, 2), min_size=m, max_size=m).map(tuple),
+                           st.integers(0, F.q - 1), max_size=4)
+
+
+def canonical_terms(F, m):
+    """Nonzero terms in canonical order, which the constructor keeps as they are."""
+    return valid_terms(F, m).map(lambda terms: dict(
+        sorted(((a, c) for a, c in terms.items() if c), key=lambda t: term_key(t[0]))))
+
+
+def polynomial_json(F, m):
+    vector = st.lists(EXPONENT | st.lists(st.integers(0, 1), max_size=1), max_size=m + 1)
+    term = st.tuples(vector | st.integers(0, 1), element_or_not(F.q)).map(list)
+    valid = valid_terms(F, max(m, 1)).map(lambda terms: [[list(a), c] for a, c in terms.items()])
+    return valid | st.lists(term | st.lists(st.integers(0, 1), max_size=3), max_size=3)
+
+
+FIELDS = [F5, make_field(2, 3), make_field(3, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FIELDS), st.sampled_from([0, 1, 1, 2, 2]), st.data())
+def test_polynomial_refuses_like_the_per_item_reference(F, m, data):
+    terms = data.draw(canonical_terms(F, max(m, 1)) | valid_terms(F, max(m, 1))
+                      | st.dictionaries(exponent_vector(m), element_or_not(F.q), max_size=4))
+    assert outcome(lambda: list(Polynomial(F, m, terms).terms.items())) == \
+        outcome(lambda: ref_polynomial(F, m, terms))
+    doc = data.draw(polynomial_json(F, m))
+    assert outcome(lambda: list(Polynomial.from_json(doc, F, m).terms.items())) == \
+        outcome(lambda: ref_polynomial_json(doc, F, m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(1, 2), st.data())
+def test_poly_matrix_refuses_like_the_per_item_reference(F, m, data):
+    # Entries over the field, over an equal field object that is not the
+    # same one, over another m or field, and an entry that is no polynomial.
+    twin = FiniteField(F.p, F.e, F.irreducible)
+    entry = st.sampled_from([Polynomial.constant(F, m, 1), Polynomial.zero(twin, m),
+                             Polynomial.zero(F, m + 1), Polynomial.zero(F2, m), 0])
+    entries = data.draw(st.lists(st.lists(entry, max_size=3), max_size=3))
+    assert outcome(lambda: PolyMatrix(F, m, entries).entries) == \
+        outcome(lambda: ref_poly_matrix(F, m, entries))
+    doc = data.draw(st.lists(st.lists(polynomial_json(F, m), max_size=2), max_size=2))
+    assert outcome(lambda: PolyMatrix.from_json(doc, F, m).entries) == \
+        outcome(lambda: ref_poly_matrix_json(doc, F, m))

@@ -19,7 +19,19 @@ from mdconv.superreg import (
     random_matrices,
     random_superregular,
 )
-from oracles import const_det, leibniz_det, rank, scan_report, submatrix, transpose, vec_mat
+from oracles import (
+    const_det,
+    element_or_not,
+    leibniz_det,
+    outcome,
+    rank,
+    ref_const_matrix,
+    ref_const_matrix_json,
+    scan_report,
+    submatrix,
+    transpose,
+    vec_mat,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -431,3 +443,29 @@ def test_random_matrices_draw_row_major_randrange(F):
     drawn = list(itertools.islice(random_matrices(F, 4, 3, seed=2024), 6))
     assert [A.entries for A in drawn] == expected
     assert drawn == [ConstMatrix(F, entries) for entries in expected]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([F5, F7, F8]), st.data())
+def test_const_matrix_refuses_like_the_per_item_reference(F, data):
+    # Ragged and empty rows, and entries that are no element code, in any
+    # mix: the constructor and from_json raise what the reference raises.
+    entries = data.draw(st.lists(st.lists(element_or_not(F.q), max_size=3), max_size=3))
+    doc = {"field": F.to_json(), "entries": entries}
+    assert outcome(lambda: ConstMatrix(F, entries).entries) == \
+        outcome(lambda: ref_const_matrix(F, entries))
+    assert outcome(lambda: ConstMatrix.from_json(doc).entries) == \
+        outcome(lambda: ref_const_matrix_json(doc))
+
+
+@pytest.mark.parametrize("entries, error", [
+    ([[1, 2], [9]], (GaloisError, "9 is not an element code of GF(7)")),
+    ([[9], []], (GaloisError, "9 is not an element code of GF(7)")),
+    ([[1, 2], [3, -1]], (GaloisError, "-1 is not an element code of GF(7)")),
+    ([[1, 2], [3]], (ValueError, "ragged matrix")),
+])
+def test_entries_are_checked_before_the_shape(entries, error):
+    # A check that looks at the shape first lets the short row of
+    # [[1, 2], [9]] win over its bad code 9.
+    assert outcome(lambda: ConstMatrix(F7, entries)) == error
+    assert outcome(lambda: ConstMatrix.from_json({"field": {"p": 7}, "entries": entries})) == error
