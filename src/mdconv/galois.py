@@ -25,10 +25,11 @@ Those methods are table-free (modulo p; XOR or digitwise addition,
 multiply-and-reduce and extended Euclid over GF(p)[x]): they build the tables,
 serve untabled fields, and are the oracle the lookups are tested against.
 
-Ben-Or's test ("Probabilistic algorithms in finite fields", FOCS 1981)
-selects the canonical irreducible, and `FiniteField` refuses a reducible
-modulus with it: f of degree e is irreducible iff gcd(f, x^(p^i) - x mod f)
-= 1 for every 1 <= i <= e/2, which takes milliseconds even for GF(2^61).
+`FiniteField` refuses a reducible modulus by Ben-Or's test ("Probabilistic
+algorithms in finite fields", FOCS 1981), and `make_field` takes the first
+candidate it accepts as the canonical irreducible, so each candidate is
+tested once: f of degree e is irreducible iff gcd(f, x^(p^i) - x mod f) = 1
+for every 1 <= i <= e/2, which takes milliseconds even for GF(2^61).
 """
 
 from __future__ import annotations
@@ -166,10 +167,6 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
         if len(r0) > 1:
             return False
     return True
-
-
-def _canonical_irreducible(p: int, e: int) -> tuple[int, ...]:
-    return next(c for c in _monic_polys(p, e) if _is_irreducible(c, p))
 
 
 @dataclass(frozen=True)
@@ -356,7 +353,12 @@ def make_field(p: int, e: int = 1) -> FiniteField:
         raise GaloisError(f"{p} is not prime")
     if e == 1:
         return FiniteField(p, 1, None)
-    F = FiniteField(p, e, _canonical_irreducible(p, e))
+    for f in _monic_polys(p, e):
+        try:
+            F = FiniteField(p, e, f)
+        except GaloisError:  # its refusal is the one irreducibility test
+            continue
+        break
     if F.q > _TABLE_MAX_Q:
         return F
     # F's class methods build the tables; lookups over them, each made once

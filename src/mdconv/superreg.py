@@ -86,12 +86,16 @@ def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
     adding a multiple of the pivot row to a row below it, and swapping two
     rows while negating one.  The pivot of column c is the first row at or
     below the next pivot row with a nonzero entry there; a column without one
-    is skipped.  A pivot's inverse is negated once, and computed only when a
-    row lies below the pivot row (the last pivot of a square matrix
-    eliminates nothing).  The loops run by index, so a call allocates nothing
-    but the pivot list.  F's operations are read when this is called, never
-    cached across calls.  A tabled field carries its own lookups, so a method
-    replaced on `FiniteField` after set-up is used only by untabled fields.
+    is skipped.  Only a zero entry in the next pivot row starts a search of
+    the rows below, so a matrix whose leading principal minors are nonzero,
+    as every minor the scan eliminates, takes no search and no swap.  A
+    pivot's inverse is negated once, and computed only when a row lies below
+    the pivot row (the last pivot of a square matrix eliminates nothing).
+    Each pivot builds its column range once, and the column loop ends once
+    every row has its pivot.  F's operations are read when this is called,
+    never cached across calls.  A tabled field carries its own lookups, so a
+    method replaced on `FiniteField` after set-up is used only by untabled
+    fields.
     """
     add, mul, neg, inv = F.add, F.mul, F.neg, F.inv
 
@@ -100,28 +104,32 @@ def _eliminator(F: FiniteField) -> Callable[[list[list[int]]], list[int]]:
         pivots: list[int] = []
         row = 0
         for col in range(ncols):
-            for pr in range(row, nrows):
-                if M[pr][col]:
-                    break
-            else:
-                continue
-            P = M[pr]
-            if pr != row:
-                Q = M[row]
+            P = M[row]
+            if not P[col]:
+                for pr in range(row + 1, nrows):
+                    if M[pr][col]:
+                        break
+                else:
+                    continue
+                Q, P = P, M[pr]
                 M[row], M[pr] = P, Q
                 for c in range(col, ncols):
                     Q[c] = neg(Q[c])
             if row + 1 < nrows:
                 npinv = neg(inv(P[col]))
+                rest = range(col + 1, ncols)
                 for r in range(row + 1, nrows):
                     R = M[r]
-                    if R[col]:
-                        f = mul(R[col], npinv)
+                    x = R[col]
+                    if x:
+                        f = mul(x, npinv)
                         R[col] = 0
-                        for c in range(col + 1, ncols):
+                        for c in rest:
                             R[c] = add(R[c], mul(f, P[c]))
             pivots.append(col)
             row += 1
+            if row == nrows:
+                break
         return pivots
 
     return echelon

@@ -56,8 +56,17 @@ MUTANTS = [
      "neg(inv(P[col]))", "inv(P[col])",
      (SR, "det_matches_cofactor or scan_report")),
     ("pivot search starts at row 0", "superreg.py",
-     "for pr in range(row, nrows):", "for pr in range(nrows):",
-     (SR, "det_matches_cofactor or scan_report")),
+     "for pr in range(row + 1, nrows):", "for pr in range(nrows):",
+     (SR, "det_matches_cofactor or scan_report or eliminator_matches")),
+    ("pivot fast path taken on a zero entry", "superreg.py",
+     "if not P[col]:", "if False:",
+     (SR, "det_matches_cofactor or eliminator_matches")),
+    ("hoisted column range starts at the pivot column", "superreg.py",
+     "rest = range(col + 1, ncols)", "rest = range(col, ncols)",
+     (SR, "eliminator_matches")),
+    ("column loop stops one row early", "superreg.py",
+     "if row == nrows:", "if row == nrows - 1:",
+     (SR, "det_matches_cofactor or eliminator_matches")),
     ("elimination skips the last row", "superreg.py",
      "for r in range(row + 1, nrows):", "for r in range(row + 1, nrows - 1):",
      (SR, "det_matches_cofactor or scan_report")),
@@ -120,6 +129,9 @@ MUTANTS = [
     ("last nonempty stratum skipped", "distance.py",
      "range(self.dim - int(", "range(self.dim - 1 - int(",
      (DIST, "skip_only_empty")),
+    ("certified distance from the first row's degree", "codes.py",
+     "staircase_distance_bound(m, n, nu)", "staircase_distance_bound(m, n, degrees[0])",
+     ("tests/test_codes.py", "never_overclaim")),
     ("descending profile test made strict", "codes.py",
      "all(a >= b for a, b in zip(", "all(a > b for a, b in zip(",
      ("tests/test_codes.py", "golden")),

@@ -4,9 +4,11 @@ The determinant is the Leibniz sum over permutations, so it shares no code
 with `multipoly._det_cofactor` (cofactor expansion) or `superreg._eliminator`
 (elimination); the minors, internal degree, unimodularity and the rank of
 a constant matrix rest on it, and so does `scan_report`, the minor scan's
-report recomputed minor by minor.  `vec_mat`, `random_poly` and
-`element_or_not` are the tests' shared ways to multiply out a row vector, to
-draw a polynomial and to draw what may or may not be an element code.
+report recomputed minor by minor.  `ref_echelon` is the elimination written
+plainly, whole rows at a time, with no fast path and no early stop.
+`vec_mat`, `random_poly` and `element_or_not` are the tests' shared ways to
+multiply out a row vector, to draw a polynomial and to draw what may or may
+not be an element code.
 
 The `ref_*` validators restate, item by item, what `ConstMatrix`,
 `Polynomial`, `PolyMatrix` and their `from_json` accept and in which order
@@ -109,6 +111,29 @@ def rank(A: ConstMatrix) -> int:
                for cs in combinations(range(A.cols), t)):
             return t
     return 0
+
+
+def ref_echelon(F, M) -> tuple[list[list[int]], list[int]]:
+    """The row echelon form of a list-of-lists matrix over F, and its pivot
+    columns, by plain Gaussian elimination: in each column the first row at
+    or below the next pivot row with a nonzero entry is the pivot; when it is
+    not that row, the two swap and the row moved down is negated whole; then
+    every row below loses its multiple of the pivot row, whole."""
+    M = [list(row) for row in M]
+    pivots: list[int] = []
+    for col in range(len(M[0])):
+        row = len(pivots)
+        found = [r for r in range(row, len(M)) if M[r][col]]
+        if not found:
+            continue
+        if found[0] != row:
+            M[row], M[found[0]] = M[found[0]], [F.neg(x) for x in M[row]]
+        P = M[row]
+        for r in range(row + 1, len(M)):
+            f = F.mul(M[r][col], F.inv(P[col]))
+            M[r] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[r], P)]
+        pivots.append(col)
+    return M, pivots
 
 
 def scan_report(A: ConstMatrix) -> SuperregularityReport:

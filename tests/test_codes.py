@@ -769,6 +769,20 @@ def test_certified_verdict_matches_singleton_bound_and_search(code):
     assert free_distance_estimate(G, 0).min_weight_found == cert.certified_distance
 
 
+@pytest.mark.parametrize("q", [11, 13])
+@pytest.mark.parametrize("profile, lengths, cap", [([1], [2, 3, 4, 5], 2), ([1, 0], [3, 4], 1)])
+def test_random_source_certificates_never_overclaim_in_two_variables(q, profile, lengths, cap):
+    # Seeded random sources, which are not Cauchy, with m = 2: no message up
+    # to the cap may give a codeword lighter than the certified distance.
+    # Longer lengths are left out: their draws need thousands of tries.
+    F, k = make_field(q), len(profile)
+    for n, seed in itertools.product(lengths, range(3)):
+        code, cert = construct_mds_staircase(F, 2, k, n, profile[-1], source="random", seed=seed)
+        assert cert.verdict == CERTIFIED_MDS
+        report = free_distance_estimate(code.generator, cap, stop_below=cert.certified_distance)
+        assert not report.below_bound, (n, seed, report)
+
+
 def test_certified_minimal_row_weight_equals_distance():
     for code, cert in [
         construct_mds_rate_1n(F7, 2, 3, 1),

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mdconv import galois
 from mdconv.galois import (
     _TABLE_MAX_Q, FiniteField, GaloisError, _is_irreducible, _monic_polys, _poly_divmod, is_prime,
     make_field,
@@ -117,6 +118,18 @@ def test_canonical_irreducibles_of_larger_fields():
     assert make_field(2, 20).irreducible == poly(0, 3, 20)
     assert make_field(2, 28).irreducible == poly(0, 1, 28)
     assert make_field(31, 3).irreducible == (3, 0, 0, 1)
+
+
+def test_make_field_tests_each_candidate_modulus_once(monkeypatch):
+    # The search builds each candidate through FiniteField, whose refusal is
+    # the one irreducibility test, so no candidate is tested twice.
+    calls = []
+    test = galois._is_irreducible
+    monkeypatch.setattr(galois, "_is_irreducible", lambda f, p: calls.append(f) or test(f, p))
+    F = make_field.__wrapped__(2, 13)  # past the cache
+    candidates = list(_monic_polys(2, 13))
+    assert calls == candidates[:candidates.index(F.irreducible) + 1]
+    assert len(calls) > 1
 
 
 def test_make_field_large_extension_degree_is_fast():

@@ -4,7 +4,7 @@ from functools import reduce
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdconv.galois import FiniteField, GaloisError, make_field
 from mdconv.multipoly import Polynomial, PolyMatrix, _det_cofactor
@@ -12,6 +12,7 @@ from mdconv.superreg import (
     ConstMatrix,
     SearchExhaustedError,
     SuperregularityReport,
+    _eliminator,
     cauchy_matrix,
     det,
     is_superregular,
@@ -27,6 +28,7 @@ from oracles import (
     rank,
     ref_const_matrix,
     ref_const_matrix_json,
+    ref_echelon,
     scan_report,
     submatrix,
     transpose,
@@ -413,6 +415,49 @@ def test_scan_and_det_match_over_polynomial_oracle_field(pe, data):
     for rows, cols in [(range(n), range(n)), (sorted(rs), sorted(cs))]:
         assert det(submatrix(A, rows, cols)) == det(submatrix(B, rows, cols))
     assert t == 1 or det(submatrix(A, sorted(rs), sorted(cs))) == 0
+
+
+# Prime fields, tabled extension fields, and the untabled twins whose ops
+# are the `FiniteField` methods that the counting tests trace.
+ECHELON_FIELDS = [F2, F3, F7, make_field(13), F4, F8, F9, make_field(3, 3),
+                  untabled(F8), untabled(F9)]
+
+
+@st.composite
+def echelon_cases(draw):
+    """Square, wide and tall matrices up to 6x6 with zero entries, zero
+    columns and rows that combine earlier rows, so that pivots are taken
+    directly, found by a search below a zero entry, or missing."""
+    F = draw(st.sampled_from(ECHELON_FIELDS))
+    r, s = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    nonzero = st.integers(1, F.q - 1)
+    mostly_zero = st.just(0) | st.just(0) | nonzero
+    entry = draw(st.sampled_from([nonzero, st.integers(0, F.q - 1), mostly_zero]))
+    E = [[draw(entry) for _ in range(s)] for _ in range(r)]
+    for j in draw(st.lists(st.integers(0, s - 1), max_size=2)):
+        for row in E:
+            row[j] = 0
+    if r > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, r - 1))
+        E[i] = combination(F, E[:i], [draw(st.integers(0, F.q - 1)) for _ in range(i)])
+    return F, E
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_cases())
+# A zero entry, so a search and a swap; a zero column; every row with its
+# pivot before the last column; a pivot found two rows down.
+@example((F7, [[0, 1], [2, 3]]))
+@example((F7, [[0, 0, 1], [0, 2, 3]]))
+@example((F5, [[1, 2, 3, 4], [2, 1, 3, 4]]))
+@example((F8, [[0, 5], [0, 3], [1, 2]]))
+def test_eliminator_matches_reference_elimination(case):
+    # The pivots and the whole echelon form, entries below each pivot
+    # included, against elimination written plainly.
+    F, E = case
+    M = [row[:] for row in E]
+    pivots = _eliminator(F)(M)
+    assert (M, pivots) == ref_echelon(F, E)
 
 
 def test_json_round_trip():
