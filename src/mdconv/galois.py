@@ -2,28 +2,29 @@
 
 Elements are encoded as integers in [0, q).  For extension fields the
 base-p digits of the code, ascending, are the coordinates in the power
-basis 1, x, ..., x^(e-1).  Prime fields use direct modular arithmetic, and
-inverses come from Python's builtin pow(a, -1, p).
+basis 1, x, ..., x^(e-1); for prime fields the code is the residue.
 
-Extension fields from `make_field` with q <= _TABLE_MAX_Q keep an exp table
-of a primitive element g and its log table (Lidl-Niederreiter, "Introduction
-to Finite Fields and Their Applications", ch. 9), and `make_field` sets
-lookups over them, made once per field, as the field's own `add`, `mul`,
-`neg` and `inv`: a * b = g^(log a + log b) and 1/a = g^(q - 1 - log a).  The
-lookups take no branch on a zero operand: log 0 = 2(q - 1), and exp, whose
-entries 0 to 2(q - 1) - 1 hold g^i, is padded with zeros to 4(q - 1) + 1
-entries, so any index that counts log 0 reads 0.  For p = 2, `add` is XOR
-and `neg` the identity.  Odd p also keeps Zech logarithms log(1 + g^n), so
-a + b = g^(log a + zech(log b - log a)) and -a = g^(log a + (q - 1)/2); the
-Zech table is read at log b - log a + 2(q - 1), and its regions give b when
-a = 0, a when b = 0, and the zero padding when a + b = 0.  `inv` keeps its
-GaloisError on 0.  The tables take O(q) memory and O(q) multiplies to build,
-so larger fields, up to q = 2^62, keep the methods of `FiniteField`.
-`make_field` is memoized: each (p, e) builds its tables once.
+Every field from `make_field` with q <= _TABLE_MAX_Q, prime or not, keeps an
+exp table of a primitive element g and its log table (Lidl-Niederreiter,
+"Introduction to Finite Fields and Their Applications", ch. 9), and
+`make_field` sets lookups over them, made once per field, as the field's own
+`add`, `mul`, `neg` and `inv`: a * b = g^(log a + log b) and
+1/a = g^(q - 1 - log a).  The lookups take no branch on a zero operand:
+log 0 = 2(q - 1), and exp, whose entries 0 to 2(q - 1) - 1 hold g^i, is
+padded with zeros to 4(q - 1) + 1 entries, so any index that counts log 0
+reads 0.  For p = 2, `add` is XOR and `neg` the identity.  Odd p also keeps
+Zech logarithms log(1 + g^n), so a + b = g^(log a + zech(log b - log a)) and
+-a = g^(log a + (q - 1)/2); the Zech table is read at log b - log a + 2(q - 1),
+and its regions give b when a = 0, a when b = 0, and the zero padding when
+a + b = 0.  `inv` keeps its GaloisError on 0.  The tables take O(q) memory
+and O(q) multiplies to build, so larger fields, up to q = 2^62, keep the
+methods of `FiniteField`.  `make_field` is memoized on the pair (p, e),
+however a call spells it, so each field and its tables are built once.
 
-Those methods are table-free (modulo p; XOR or digitwise addition,
-multiply-and-reduce and extended Euclid over GF(p)[x]): they build the tables,
-serve untabled fields, and are the oracle the lookups are tested against.
+Those methods are table-free (for e = 1, arithmetic modulo p with inverses
+from pow(a, -1, p); for e > 1, XOR or digitwise addition, multiply-and-reduce
+and extended Euclid over GF(p)[x]): they build the tables, serve untabled
+fields, and are the oracle the lookups are tested against.
 
 `FiniteField` refuses a reducible modulus by Ben-Or's test ("Probabilistic
 algorithms in finite fields", FOCS 1981), and `make_field` takes the first
@@ -174,7 +175,8 @@ class FiniteField:
     """GF(p^e) as GF(p)[x] modulo `irreducible`, monic of degree e, given iff
     e > 1; immutable.  A modulus that is not a tuple or not irreducible is
     refused.  The methods are table-free: a tabled field from `make_field`
-    carries its own lookup add, mul, neg and inv in their place."""
+    (any with q <= _TABLE_MAX_Q) carries its own lookup add, mul, neg and inv
+    in their place."""
 
     p: int
     e: int
@@ -295,21 +297,21 @@ class FiniteField:
         return f"GF({self.q})"
 
 
-# Fields up to this size get log/exp tables, and for odd p a Zech table.
-# A whole `make_field` build takes 12-17 ms at q = 2^10 and 8-11 ms at 3^6
-# and 31^2; the tables alone would take 29-36 ms at 2^11 and 39 ms at 3^7
-# (2-core Xeon, Python 3.11.7, minima of 15-20 builds on a shared host).
+# Fields up to this size get log/exp tables, and for odd p a Zech table.  A
+# `make_field` build takes 12-17 ms at q = 2^10, 8-11 ms at 3^6 and 31^2, and
+# about 0.7 ms for a prime (q = 1021); the tables alone would take 29-36 ms
+# at 2^11 and 39 ms at 3^7 (2-core Xeon, Python 3.11.7, minima of 15-20 builds).
 _TABLE_MAX_Q = 2**10
 
 
 def _log_exp_tables(F: FiniteField) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """exp[i] = g^(i mod (q - 1)) for 0 <= i < 2(q - 1), then zeros up to
     exp[4(q - 1)], and log[g^i] = i with log[0] = 2(q - 1), for the least
-    primitive element code g."""
+    primitive element code g: 1 for GF(2), and at least 2 for any larger q."""
     n = F.q - 1
     primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
     # g generates GF(q)* iff g^(n/r) != 1 for every prime r dividing n.
-    g = next(g for g in range(2, F.q) if all(F.pow(g, n // r) != 1 for r in primes))
+    g = next(g for g in range(1, F.q) if all(F.pow(g, n // r) != 1 for r in primes))
     exp = [1]
     for _ in range(n - 1):
         exp.append(F.mul(exp[-1], g))
@@ -336,24 +338,27 @@ def _zech_table(exp: Sequence[int], log: Sequence[int], p: int) -> tuple[int, ..
     return tuple(zech)
 
 
-@functools.cache
 def make_field(p: int, e: int = 1) -> FiniteField:
     """Build GF(p^e) with the canonical irreducible polynomial.
 
     The irreducible is the first irreducible monic degree-e polynomial with
     nonzero constant term, ordered by the integer sum(c_i * p^i) over the
-    non-leading coefficients.  Deterministic across runs.  Memoized: equal
-    arguments return the same object, with its log/exp tables built once.
+    non-leading coefficients.  Deterministic across runs.  Memoized on the
+    pair (p, e), however it is spelled: make_field(7), make_field(7, 1) and
+    make_field(p=7, e=1) return the same object, with its tables built once.
     """
+    return _field(p, e)
+
+
+@functools.cache
+def _field(p: int, e: int) -> FiniteField:
     if e < 1:
         raise GaloisError(f"extension degree must be >= 1, got {e}")
     if e > 62 or p**e > 2**62:
         raise GaloisError(f"field size {p}^{e} too large")
     if not is_prime(p):
         raise GaloisError(f"{p} is not prime")
-    if e == 1:
-        return FiniteField(p, 1, None)
-    for f in _monic_polys(p, e):
+    for f in [None] if e == 1 else _monic_polys(p, e):
         try:
             F = FiniteField(p, e, f)
         except GaloisError:  # its refusal is the one irreducibility test

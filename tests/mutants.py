@@ -75,14 +75,14 @@ MUTANTS = [
      ("tests/test_galois.py", "zech")),
     ("log 0 set to 2(q-1) - 1", "galois.py",
      "log = [2 * n] * F.q", "log = [2 * n - 1] * F.q",
-     ("tests/test_galois.py", "tables_only or tables_match_polynomial_oracle")),
+     ("tests/test_galois.py", "tables_for_every or tables_match_polynomial_oracle")),
     ("exp's zero padding one entry short", "galois.py",
      "[0] * (2 * n + 1)", "[0] * (2 * n)",
-     ("tests/test_galois.py", "tables_only or tables_match_polynomial_oracle")),
+     ("tests/test_galois.py", "tables_for_every or tables_match_polynomial_oracle")),
     ("Zech region for a = 0 one entry short", "galois.py",
      "    for i in range(n):\n        zech[i] = i - 2 * n",
      "    for i in range(n - 1):\n        zech[i] = i - 2 * n",
-     ("tests/test_galois.py", "tables_only or zech")),
+     ("tests/test_galois.py", "tables_for_every or zech")),
     ("Zech region for nonzero a, b one entry short", "galois.py",
      "for d in range(1 - n, n):", "for d in range(2 - n, n):",
      ("tests/test_galois.py", "tables_match_polynomial_oracle")),
@@ -110,6 +110,18 @@ MUTANTS = [
     ("Zech table's 1 + x increments digit 1", "galois.py",
      "x - x % p + (x + 1) % p", "x - x // p % p * p + (x // p + 1) % p * p",
      ("tests/test_galois.py", "zech")),
+    ("primitive-element search starts at 2", "galois.py",
+     "for g in range(1, F.q) if all(", "for g in range(2, F.q) if all(",
+     ("tests/test_galois.py", "tables_for_every")),
+    ("make_field tables only extension fields", "galois.py",
+     "    if F.q > _TABLE_MAX_Q:\n", "    if F.q > _TABLE_MAX_Q or e == 1:\n",
+     ("tests/test_galois.py", "tables_for_every or tabled_prime_field")),
+    ("prime Zech step without its % p", "galois.py",
+     "x - x % p + (x + 1) % p", "x - x % p + (x + 1)",
+     ("tests/test_galois.py", "tabled_prime_field")),
+    ("memo bypassed for prime fields", "galois.py",
+     "    return _field(p, e)\n", "    return _field(p, e) if e > 1 else _field.__wrapped__(p, e)\n",
+     ("tests/test_galois.py", "memoized or pickle")),
     ("element code read from its digits in descending order", "galois.py",
      "    for d in reversed(digits):\n", "    for d in digits:\n",
      ("tests/test_galois.py", "untabled_add")),

@@ -126,7 +126,7 @@ def test_make_field_tests_each_candidate_modulus_once(monkeypatch):
     calls = []
     test = galois._is_irreducible
     monkeypatch.setattr(galois, "_is_irreducible", lambda f, p: calls.append(f) or test(f, p))
-    F = make_field.__wrapped__(2, 13)  # past the cache
+    F = galois._field.__wrapped__(2, 13)  # past the cache
     candidates = list(_monic_polys(2, 13))
     assert calls == candidates[:candidates.index(F.irreducible) + 1]
     assert len(calls) > 1
@@ -149,21 +149,32 @@ def test_make_field_deterministic():
 def test_make_field_is_memoized():
     assert make_field(2, 4) is make_field(2, 4)
     assert FiniteField.from_json(make_field(3, 3).to_json()) is make_field(3, 3)
+    # The memo keys on (p, e), not on how the call spells them.
+    for p, e in [(7, 1), (2, 3), (1021, 1), (2**61 - 1, 1)]:
+        spellings = [make_field(p, e), make_field(p, e=e), make_field(p=p, e=e),
+                     make_field(e=e, p=p)]
+        if e == 1:
+            spellings += [make_field(p), make_field(p=p)]
+        assert all(F is spellings[0] for F in spellings)
 
 
 def test_pickle_round_trip():
     # A tabled field's own ops are closures, so it unpickles as its
-    # make_field call; any other field as its constructor call.
-    for F in [make_field(2, 3), make_field(3, 2), make_field(7), make_field(2, 11),
-              FiniteField(2, 3, make_field(2, 3).irreducible)]:
+    # make_field call, which returns the same object; any other field as its
+    # constructor call.
+    for F in [make_field(2), make_field(7), make_field(1021), make_field(2, 3),
+              make_field(3, 2), make_field(2, 11), make_field(1031),
+              FiniteField(2, 3, make_field(2, 3).irreducible), FiniteField(7, 1)]:
         G = pickle.loads(pickle.dumps(F))
         assert G == F and (G is F) == (F._log_exp is not None)
-        assert [G.mul(a, 5) for a in range(7)] == [F.mul(a, 5) for a in range(7)]
+        xs = range(min(F.q, 7))
+        assert [G.mul(a, F.q - 1) for a in xs] == [F.mul(a, F.q - 1) for a in xs]
 
 
 def _polynomial_oracle(p, e):
-    """The same field without log/exp tables: every mul and inv runs the
-    polynomial multiply-and-reduce and extended Euclid path."""
+    """The same field without log/exp tables: every op runs its `FiniteField`
+    method, modulo p for e = 1, and for e > 1 the polynomial
+    multiply-and-reduce and extended Euclid path."""
     return FiniteField(p, e, make_field(p, e).irreducible)
 
 
@@ -187,34 +198,44 @@ def _oracle_neg(F, a):
     return _digitwise(F.p, F.e, 0, a, -1)
 
 
-def test_tables_only_for_small_extension_fields():
+def test_tables_for_every_small_field():
+    # Every field from make_field with q <= 2^10 is tabled, prime fields
+    # included; larger ones and directly built ones are not.
     assert make_field(2, 10).q == _TABLE_MAX_Q
-    assert make_field(2, 10)._log_exp is not None
-    assert make_field(2, 11)._log_exp is None
-    assert make_field(7)._log_exp is None  # GF(p) keeps its modular arithmetic
-    assert make_field(7)._zech is None
-    assert _polynomial_oracle(2, 4)._log_exp is None
+    for p, e in [(2, 1), (3, 1), (7, 1), (1021, 1), (2, 10), (3, 6)]:
+        assert make_field(p, e)._log_exp is not None
+    for p, e in [(1031, 1), (2**61 - 1, 1), (2, 11), (3, 7)]:
+        assert make_field(p, e)._log_exp is None and make_field(p, e)._zech is None
+    assert _polynomial_oracle(2, 4)._log_exp is None and FiniteField(7, 1)._log_exp is None
     # p = 2 adds by XOR, so only odd p gets a Zech table.
-    assert make_field(2, 4)._zech is None and make_field(3, 6)._zech is not None
-    assert make_field(3, 7)._zech is None and _polynomial_oracle(3, 3)._zech is None
+    for p, e in [(2, 1), (2, 4), (2, 10)]:
+        assert make_field(p, e)._zech is None
+    for p, e in [(3, 1), (7, 1), (1021, 1), (3, 6)]:
+        assert make_field(p, e)._zech is not None
+    assert _polynomial_oracle(3, 3)._zech is None and FiniteField(7, 1)._zech is None
+    # GF(2)'s one primitive element is 1: exp holds g^0 and g^1, then zeros.
+    assert make_field(2)._log_exp == ((1, 1, 0, 0, 0), (2, 0))
     # The tables are invisible to equality, hashing, repr and JSON.
     for F, O in [(make_field(2, 4), _polynomial_oracle(2, 4)),
-                 (make_field(3, 3), _polynomial_oracle(3, 3))]:
+                 (make_field(3, 3), _polynomial_oracle(3, 3)),
+                 (make_field(7), FiniteField(7, 1)), (make_field(2), FiniteField(2, 1))]:
         assert F == O and hash(F) == hash(O)
         assert (repr(F), F.to_json()) == (repr(O), O.to_json())
     # The lookups take no branch on 0, so each zero case is a table read: a
     # zero operand gives 0 in a product and the other operand in a sum, 0 is
     # its own negative, and a + (-a) = 0 (the Zech logarithm of -1, the
     # element g^((q-1)/2) of order 2, is log 0) for every a.
-    for p, e in [(2, 3), (2, 10), (3, 2), (3, 3), (5, 2), (7, 2), (3, 6), (31, 2)]:
+    for p, e in [(2, 1), (3, 1), (7, 1), (1021, 1), (2, 3), (2, 10), (3, 2), (3, 3), (5, 2),
+                 (7, 2), (3, 6), (31, 2)]:
         F = make_field(p, e)
         elements = range(F.q)
         assert [F.mul(a, 0) for a in elements] == [F.mul(0, a) for a in elements] == [0] * F.q
         assert [F.add(a, 0) for a in elements] == [F.add(0, a) for a in elements] == list(elements)
         assert F.neg(0) == 0 and [F.add(a, F.neg(a)) for a in elements] == [0] * F.q
         assert [F.add(a, a) for a in elements] == [F.mul(a, 2 % p) for a in elements]
-    # A table-less odd-p field adds digitwise, and agrees with the tables.
-    for p, e in [(3, 3), (5, 2)]:
+    # A table-less odd-p field adds digitwise, or modulo p, and agrees with
+    # the tables.
+    for p, e in [(3, 3), (5, 2), (3, 1), (13, 1)]:
         F, O = make_field(p, e), _polynomial_oracle(p, e)
         for a in range(F.q):
             assert [F.add(a, b) for b in range(F.q)] == [O.add(a, b) for b in range(F.q)]
@@ -270,6 +291,32 @@ def test_tables_match_polynomial_oracle_near_table_max_q(pe, data):
     if b:
         assert F.inv(b) == O.inv(b)
         assert F.pow(b, n) == O.pow(b, n)
+
+
+PRIMES_TO_TABLE_MAX_Q = [p for p in range(2, _TABLE_MAX_Q) if _trial_division_is_prime(p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1021, None])  # None: drawn from every tabled prime
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tabled_prime_field_matches_untabled_twin(p, data):
+    # GF(p)'s lookups against the modular arithmetic of its untabled twin.
+    p = p or data.draw(st.sampled_from(PRIMES_TO_TABLE_MAX_Q))
+    F, O = make_field(p), FiniteField(p, 1)
+    assert F._log_exp is not None and O._log_exp is None
+    element = st.just(0) | st.integers(0, p - 1)
+    a, b = data.draw(element), data.draw(element)
+    n = data.draw(st.integers(-3 * p, 3 * p))
+    for op in ("add", "sub", "mul"):
+        assert getattr(F, op)(a, b) == getattr(O, op)(a, b)
+    assert F.neg(a) == O.neg(a)
+    if a:
+        assert F.inv(a) == O.inv(a)
+    if a or n >= 0:
+        assert F.pow(a, n) == O.pow(a, n)
+    for G in (F, O):
+        with pytest.raises(GaloisError):
+            G.inv(0)
 
 
 @pytest.mark.parametrize("p,e", [(2, 11), (2, 61), (3, 7)])
@@ -333,10 +380,11 @@ def test_pow_mul_count_and_values(p, e, monkeypatch):
     # Square-and-multiply: floor(log2 n) squarings plus popcount(n) - 1
     # multiplies; the value is checked against repeated multiplication.  The
     # count is taken through FiniteField.mul, which a tabled field's own
-    # lookups bypass, so GF(8) is counted on its untabled twin, and the
+    # lookups bypass, so each field is counted on its untabled twin, and the
     # tabled field must give the same powers.
     T = make_field(p, e)
-    F = _polynomial_oracle(p, e) if e > 1 else T
+    F = _polynomial_oracle(p, e)
+    assert T._log_exp is not None and F._log_exp is None
     calls = []
     mul = FiniteField.mul
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mdconv.galois import FiniteField, GaloisError, make_field
+from mdconv.galois import FiniteField, GaloisError, is_prime, make_field
 from mdconv.multipoly import Polynomial, PolyMatrix, _det_cofactor
 from mdconv.superreg import (
     ConstMatrix,
@@ -333,10 +333,12 @@ def test_superregular_iff_systematic_code_is_mds(A):
     assert is_superregular(A).verdict == (min_weight >= A.cols + 1)
 
 
-# Prime, tabled and untabled extension fields: GF(2^11) and the GF(9) built
-# from its irreducible are above and outside `make_field`'s table limit.
-SCAN_FIELDS = SMALL_FIELDS + [make_field(13), make_field(1021), make_field(2, 10),
-                              make_field(2, 11), FiniteField(3, 2, F9.irreducible)]
+# Tabled prime and extension fields, and untabled ones: GF(1031) and
+# GF(2^11) are above `make_field`'s table limit, and the GF(9) built from its
+# irreducible is outside it.
+SCAN_FIELDS = SMALL_FIELDS + [make_field(13), make_field(1021), make_field(1031),
+                              make_field(2, 10), make_field(2, 11),
+                              FiniteField(3, 2, F9.irreducible)]
 
 
 @st.composite
@@ -393,11 +395,27 @@ TWIN_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (2, 5), (7, 2), (
 @given(st.sampled_from(TWIN_FIELDS), st.data())
 def test_scan_and_det_match_over_polynomial_oracle_field(pe, data):
     # The hot path over a tabled field, whose ops are its own lookups, and
-    # over its untabled twin, whose ops are the table-free class methods:
-    # the same scan report, determinant and nullspace.  Entries may be zero,
-    # and one row may combine t - 1 others on t columns, so that minor is zero.
-    F = make_field(*pe)
+    # over its untabled twin, whose ops are the table-free class methods.
+    assert_twins_agree(make_field(*pe), data)
+
+
+PRIMES_TO_1021 = [p for p in range(2, 1022) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 1021, None])  # None: drawn from every prime up to 1021
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scan_and_det_match_over_untabled_prime_twin(p, data):
+    # The same over tabled GF(p) and its twin, which computes modulo p.
+    assert_twins_agree(make_field(p or data.draw(st.sampled_from(PRIMES_TO_1021))), data)
+
+
+def assert_twins_agree(F, data):
+    """The same scan report, determinant and nullspace over F and its
+    untabled twin.  Entries may be zero, and one row may combine t - 1 others
+    on t columns, so that minor is zero."""
     O = untabled(F)
+    assert F._log_exp is not None and O._log_exp is None
     r, s = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     entry = st.integers(0 if data.draw(st.booleans()) else 1, F.q - 1)
     E = [[data.draw(entry) for _ in range(s)] for _ in range(r)]
@@ -417,10 +435,10 @@ def test_scan_and_det_match_over_polynomial_oracle_field(pe, data):
     assert t == 1 or det(submatrix(A, sorted(rs), sorted(cs))) == 0
 
 
-# Prime fields, tabled extension fields, and the untabled twins whose ops
-# are the `FiniteField` methods that the counting tests trace.
+# Tabled prime and extension fields, and the untabled twins whose ops are
+# the `FiniteField` methods that the counting tests trace.
 ECHELON_FIELDS = [F2, F3, F7, make_field(13), F4, F8, F9, make_field(3, 3),
-                  untabled(F8), untabled(F9)]
+                  untabled(F7), untabled(F8), untabled(F9)]
 
 
 @st.composite
